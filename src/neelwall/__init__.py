@@ -22,14 +22,12 @@ from .analysis import (
 )
 from .energy import el_residual, energy, energy_gradient
 from .errors import (
-    CenterDegenerateError,
     MultipleCrossingsError,
     NeelWallError,
     NoCrossingError,
     NotConvergedError,
     NotRecentredError,
     RangeViolationError,
-    StepUnderflowError,
     TailTooLargeError,
     WindowTooNoisyError,
 )
@@ -68,7 +66,6 @@ from .path import (
     CertificateVerdict,
     PathPoint,
     interpolate_profiles,
-    path_derivative_fields,
     path_scan,
     path_velocity_norm,
     stationarity_defect,

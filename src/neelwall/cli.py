@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .model import (
     load_profile,
     recenter,
     save_profile,
+    write_text_atomic,
 )
 
 DEFAULTS = {
@@ -46,7 +46,6 @@ DEFAULTS = {
     "half_width": 40.0,
     "grad_tol": 1e-6,
     "max_iter": 200_000,
-    "method": "quasi_newton",
     "init": "template",
     "seed": 0,
     "out_dir": ".",
@@ -63,21 +62,8 @@ VERIFY_SYMMETRY_TOL = 1e-4
 VERIFY_RECONSTRUCTION_TOL = 5e-2
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json_atomic(path: str, obj) -> None:
-    _write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_config(path: str) -> dict:
@@ -117,18 +103,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _setup(cfg: dict):
-    params = make_params(cfg["nu"], cfg["h"])
-    grid = make_grid(cfg["n"], cfg["half_width"])
-    opts = solver.SolveOptions(
-        grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"], method=cfg["method"]
-    )
-    return params, grid, opts
+def _options(cfg: dict) -> solver.SolveOptions:
+    return solver.SolveOptions(grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"])
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    params, grid, opts = _setup(cfg)
+    params = make_params(cfg["nu"], cfg["h"])
+    grid = make_grid(cfg["n"], cfg["half_width"])
+    opts = _options(cfg)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     p0 = make_initial_profile(grid, params, kind=cfg["init"], seed=cfg["seed"])
@@ -231,10 +214,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     p1 = recenter(load_profile(args.profile_a))
     p2 = recenter(load_profile(args.profile_b))
-    op = make_operator(p1.grid)
-    points = pathmod.path_scan(p1, p2, op=op)
-    verdict = pathmod.uniqueness_certificate(p1, p2, op=op, grad_tol=cfg["grad_tol"])
-    _write_text_atomic(os.path.join(out, "path.csv"), "".join(pathmod.path_csv_lines(points)))
+    verdict = pathmod.uniqueness_certificate(p1, p2, grad_tol=cfg["grad_tol"])
+    write_text_atomic(os.path.join(out, "path.csv"), "".join(pathmod.path_csv_lines(verdict.points)))
     _write_json_atomic(os.path.join(out, "certificate.json"), verdict.as_dict())
     print(
         f"certificate: {verdict.verdict} (min f''={verdict.min_f_second:.3g}, "
@@ -256,11 +237,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     hs = _parse_list(args.h_list)
     params_list = [make_params(nu, h) for nu in nus for h in hs]
     grid = make_grid(cfg["n"], cfg["half_width"])
-    opts = solver.SolveOptions(
-        grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"], method=cfg["method"]
-    )
-    rows = solver.sweep(params_list, grid, opts, init=cfg["init"])
-    _write_text_atomic(os.path.join(out, "sweep.csv"), "".join(solver.sweep_csv_lines(rows)))
+    rows = solver.sweep(params_list, grid, _options(cfg), init=cfg["init"])
+    write_text_atomic(os.path.join(out, "sweep.csv"), "".join(solver.sweep_csv_lines(rows)))
     for r in rows:
         status = "ok" if r.converged else (r.error or "not converged")
         total = r.energy.total if r.energy else math.nan
@@ -329,7 +307,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--half-width", dest="half_width", type=float)
     sp.add_argument("--grad-tol", dest="grad_tol", type=float)
     sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--method", choices=["quasi_newton", "gradient_flow"])
     sp.add_argument("--init", choices=["template", "kink", "perturbed"])
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out-dir", dest="out_dir")
@@ -372,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (NeelWallError, ValueError, OSError) as exc:

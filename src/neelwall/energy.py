@@ -7,22 +7,31 @@ The discrete energy is the quantity the solver minimizes:
     + 1/2 sum w_i (sin theta_i - h)^2 dx               (potential)
     + (nu/4) pairing(u, u),  u = sin theta - h         (stray)
 
-with trapezoid weights w and the Parseval stray form from halflap. The
-gradient below is the exact derivative of this function of the interior node
-values (boundary nodes are Dirichlet-frozen), which guarantees monotone
-descent and exact stationarity at discrete minimizers. el_residual samples
-the continuum Euler-Lagrange operator instead and is used as an independent
-verification metric; the two agree to O(dx^2) on smooth profiles.
+with trapezoid weights w and the Parseval stray form from halflap. One
+kernel, energy_and_gradient, evaluates it together with its exact derivative
+with respect to the interior node values (boundary nodes are
+Dirichlet-frozen): it transforms u once, takes the stray energy from that
+spectrum and the stray field from one inverse transform. The exact gradient
+guarantees monotone descent and exact stationarity at discrete minimizers.
+el_residual is the same gradient divided by dx, which on smooth profiles
+samples the continuum Euler-Lagrange operator to O(dx^2); it is a
+stationarity metric, not an independent check of the gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .halflap import HalfLaplacianOperator, apply_spectral, pairing
+from .halflap import HalfLaplacianOperator, field, parseval, transform
 from .model import EnergyBreakdown, WallProfile
 
-__all__ = ["energy", "el_residual", "energy_gradient", "trapezoid_weights"]
+__all__ = [
+    "energy",
+    "el_residual",
+    "energy_gradient",
+    "energy_and_gradient",
+    "trapezoid_weights",
+]
 
 
 def trapezoid_weights(n: int, dx: float) -> np.ndarray:
@@ -31,54 +40,52 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def energy(p: WallProfile, op: HalfLaplacianOperator) -> EnergyBreakdown:
-    """Evaluate the three energy parts for a sampled profile."""
+def energy_and_gradient(
+    p: WallProfile, op: HalfLaplacianOperator
+) -> tuple[EnergyBreakdown, np.ndarray]:
+    """The three energy parts and the exact gradient with respect to the
+    interior node values, returned full length with zeros at the frozen
+    boundary nodes."""
     theta = p.theta
     dx = p.grid.spacing
-    h = p.params.h
-    u = np.sin(theta) - h
+    h, nu = p.params.h, p.params.nu
+    sin, cos = np.sin(theta), np.cos(theta)
+    u = sin - h
     exchange = 0.5 * float(np.sum(np.diff(theta) ** 2)) / dx
-    w = trapezoid_weights(p.grid.n, dx)
-    potential = 0.5 * float(np.dot(w, u * u))
-    stray = 0.25 * p.params.nu * pairing(op, u, u) if p.params.nu > 0 else 0.0
-    return EnergyBreakdown(
+    potential = 0.5 * float(np.dot(trapezoid_weights(p.grid.n, dx), u * u))
+    g = np.zeros_like(theta)
+    g[1:-1] = (2.0 * theta[1:-1] - theta[2:] - theta[:-2]) / dx
+    g[1:-1] += (u * cos)[1:-1] * dx
+    stray = 0.0
+    if nu > 0:
+        spectrum = transform(op, u)
+        stray = 0.25 * nu * parseval(op, spectrum, spectrum)
+        g[1:-1] += 0.5 * nu * (cos * field(op, spectrum))[1:-1] * dx
+    eb = EnergyBreakdown(
         exchange=exchange,
         potential=potential,
         stray=stray,
         total=exchange + potential + stray,
     )
+    return eb, g
 
 
-def el_residual(p: WallProfile, op: HalfLaplacianOperator) -> np.ndarray:
-    """Continuum Euler-Lagrange residual on the interior nodes:
-
-    R = -theta_xx + (sin theta - h) cos theta
-        + (nu/2) cos theta (-d^2/dx^2)^(1/2) (sin theta - h)
-    """
-    theta = p.theta
-    dx = p.grid.spacing
-    h, nu = p.params.h, p.params.nu
-    u = np.sin(theta) - h
-    r = -(theta[2:] - 2.0 * theta[1:-1] + theta[:-2]) / dx**2
-    r += (u * np.cos(theta))[1:-1]
-    if nu > 0:
-        v = apply_spectral(op, u)
-        r += 0.5 * nu * (np.cos(theta) * v)[1:-1]
-    return r
+def energy(p: WallProfile, op: HalfLaplacianOperator) -> EnergyBreakdown:
+    """Evaluate the three energy parts for a sampled profile."""
+    return energy_and_gradient(p, op)[0]
 
 
 def energy_gradient(p: WallProfile, op: HalfLaplacianOperator) -> np.ndarray:
     """Exact gradient of the discrete energy with respect to the interior
-    node values; returned full length with zeros at the frozen boundary
-    nodes."""
-    theta = p.theta
-    dx = p.grid.spacing
-    h, nu = p.params.h, p.params.nu
-    u = np.sin(theta) - h
-    g = np.zeros_like(theta)
-    g[1:-1] = (2.0 * theta[1:-1] - theta[2:] - theta[:-2]) / dx
-    g[1:-1] += (u * np.cos(theta))[1:-1] * dx
-    if nu > 0:
-        v = apply_spectral(op, u)
-        g[1:-1] += 0.5 * nu * (np.cos(theta) * v)[1:-1] * dx
-    return g
+    node values; zeros at the frozen boundary nodes."""
+    return energy_and_gradient(p, op)[1]
+
+
+def el_residual(p: WallProfile, op: HalfLaplacianOperator) -> np.ndarray:
+    """Euler-Lagrange residual on the interior nodes, energy_gradient / dx:
+
+    R = -theta_xx + (sin theta - h) cos theta
+        + (nu/2) cos theta (-d^2/dx^2)^(1/2) (sin theta - h)
+    with the second difference for theta_xx and the spectral half-Laplacian.
+    """
+    return energy_gradient(p, op)[1:-1] / p.grid.spacing

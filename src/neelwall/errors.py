@@ -24,10 +24,6 @@ class NotConvergedError(NeelWallError):
     """Minimization stopped before reaching the gradient tolerance."""
 
 
-class StepUnderflowError(NeelWallError):
-    """Backtracking line search shrank the step below the underflow floor."""
-
-
 class WindowTooNoisyError(NeelWallError):
     """The x^2-tail plateau varies too much over the fitting window."""
 
@@ -38,7 +34,3 @@ class NotRecentredError(NeelWallError):
 
 class RangeViolationError(NeelWallError):
     """Interpolated sine values left [-1, 1] by more than roundoff slack."""
-
-
-class CenterDegenerateError(NeelWallError):
-    """theta_x(0) is too close to zero for the x = 0 closed forms."""

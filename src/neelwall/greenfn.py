@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .energy import trapezoid_weights
 from .halflap import HalfLaplacianOperator, apply_spectral, make_operator
@@ -33,26 +32,23 @@ __all__ = [
     "fold",
     "reconstruct",
     "decay_prediction",
-    "green_dump_lines",
 ]
 
-DEFAULT_PAD_FACTOR = 4
 CORE_EXCLUSION_NODES = 3
 
 
 @dataclass(frozen=True)
 class LinearizedOperator:
     """Fourier symbol k^2 + (nu/2) cos^2(theta_h) |k| + cos^2(theta_h)
-    sampled on the padded non-negative frequency lattice."""
+    sampled on the non-negative frequencies of the grid's padded lattice."""
 
     params: ModelParams
-    grid: Grid
-    padded_len: int
+    lattice: HalfLaplacianOperator
     symbol: np.ndarray
 
     @property
-    def _offset(self) -> int:
-        return (self.padded_len - self.grid.n) // 2
+    def grid(self) -> Grid:
+        return self.lattice.grid
 
 
 @dataclass(frozen=True)
@@ -67,32 +63,27 @@ class FoldedProfile:
     forcing: np.ndarray
 
 
-def make_linearized(
-    params: ModelParams, grid: Grid, pad_factor: int = DEFAULT_PAD_FACTOR
-) -> LinearizedOperator:
+def make_linearized(params: ModelParams, grid: Grid) -> LinearizedOperator:
     if params.nu <= 0:
         raise ValueError("linearized operator requires nu > 0")
-    padded = scipy.fft.next_fast_len(pad_factor * grid.n, real=True)
-    k = 2.0 * math.pi * np.fft.rfftfreq(padded, d=grid.spacing)
+    lattice = make_operator(grid)
+    k = lattice.wavenumbers
     c2 = math.cos(params.theta_h) ** 2
     symbol = k**2 + 0.5 * params.nu * c2 * k + c2
-    return LinearizedOperator(params=params, grid=grid, padded_len=padded, symbol=symbol)
+    return LinearizedOperator(params=params, lattice=lattice, symbol=symbol)
 
 
 def apply_linearized(w: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     """L w for a sample vector decaying to 0 at the ends (zero padding)."""
-    grid = lin.grid
-    if len(w) != grid.n:
+    if len(w) != lin.grid.n:
         raise ValueError("sample length does not match the grid")
-    buf = np.zeros(lin.padded_len)
-    off = lin._offset
-    buf[off : off + grid.n] = w
-    out = np.fft.irfft(lin.symbol * np.fft.rfft(buf), n=lin.padded_len)
-    return out[off : off + grid.n]
+    lattice = lin.lattice
+    spectrum = np.fft.rfft(lattice.pad(w))
+    return lattice.crop(np.fft.irfft(lin.symbol * spectrum, n=lattice.padded_len))
 
 
 def _green_padded(lin: LinearizedOperator) -> np.ndarray:
-    return np.fft.irfft(1.0 / lin.symbol, n=lin.padded_len) / lin.grid.spacing
+    return np.fft.irfft(1.0 / lin.symbol, n=lin.lattice.padded_len) / lin.grid.spacing
 
 
 def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
@@ -100,7 +91,7 @@ def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
     positive, with G(x) = O(1/x^2)."""
     g_pad = _green_padded(lin)
     c = lin.grid.center_index
-    idx = (np.arange(lin.grid.n) - c) % lin.padded_len
+    idx = (np.arange(lin.grid.n) - c) % lin.lattice.padded_len
     return g_pad[idx]
 
 
@@ -112,7 +103,7 @@ def convolve_green(f: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
         raise ValueError("sample length does not match the grid")
     g_pad = _green_padded(lin)
     n = grid.n
-    offsets = (np.arange(-(n - 1), n)) % lin.padded_len
+    offsets = (np.arange(-(n - 1), n)) % lin.lattice.padded_len
     g_full = g_pad[offsets]
     fw = f * trapezoid_weights(n, grid.spacing)
     return np.convolve(g_full, fw)[n - 1 : 2 * n - 1]
@@ -180,8 +171,3 @@ def decay_prediction(fp: FoldedProfile, lin: LinearizedOperator) -> float:
     mask = (x >= 0.5 * hw) & (x <= 0.9 * hw)
     return float(np.median(x[mask] ** 2 * dev[mask]))
 
-
-def green_dump_lines(lin: LinearizedOperator) -> list[str]:
-    g = fundamental_solution(lin)
-    x = lin.grid.nodes
-    return [f"{x[i]:.17g} {g[i]:.17g}\n" for i in range(lin.grid.n)]

@@ -1,10 +1,14 @@
 """Two independent realizations of the half-Laplacian (-d^2/dx^2)^(1/2).
 
-The workhorse is a zero-padded FFT with multiplier |k|; the cross-check is a
-principal-value singular integral split at a scale delta, with the inner part
-written as a symmetrized second difference (removable singularity) and the
-outer part closed in form beyond the grid using the constant extension of the
-input. A double-integral H^(1/2) seminorm oracle is provided for the pairing.
+The workhorse is a zero-padded FFT with multiplier |k| on one lattice per
+grid, HalfLaplacianOperator, which alone chooses the padded length, pads,
+crops and holds |k|; the energy kernel and the linearized operator in greenfn
+work on that lattice through transform, parseval and field. The cross-check
+is a principal-value singular integral split at a scale delta, with the inner
+part written as a symmetrized second difference (removable singularity) and
+the outer part closed in form beyond the grid using the constant extension of
+the input. A double-integral H^(1/2) seminorm oracle is provided for the
+pairing.
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
@@ -23,6 +27,9 @@ from .model import Grid
 __all__ = [
     "HalfLaplacianOperator",
     "make_operator",
+    "transform",
+    "parseval",
+    "field",
     "apply_spectral",
     "apply_quadrature",
     "pairing",
@@ -30,93 +37,85 @@ __all__ = [
     "default_delta",
 ]
 
-DEFAULT_PAD_FACTOR = 4
-DEFAULT_TAIL_TOL = 1e-2
+# Transforms are at least this many times longer than the grid, which keeps
+# the periodic images of the c/x^2 wall tails out of the window.
+PAD_FACTOR = 4
+TAIL_TOL = 1e-2
 
 
 @dataclass(frozen=True)
 class HalfLaplacianOperator:
-    """Precomputed spectral data for one grid.
+    """The zero-padded FFT lattice of one grid.
 
-    multipliers holds |k| on the full padded frequency lattice (fftfreq
-    ordering); transforms use the real-FFT half of it.
+    Samples sit in the middle of a window of padded_len points; wavenumbers
+    holds |k| on the real-FFT half of the lattice.
     """
 
     grid: Grid
     padded_len: int
-    multipliers: np.ndarray
-    tail_tol: float = DEFAULT_TAIL_TOL
+    wavenumbers: np.ndarray
 
     @property
     def _offset(self) -> int:
         return (self.padded_len - self.grid.n) // 2
 
-    @property
-    def _rfft_multipliers(self) -> np.ndarray:
-        return self.multipliers[: self.padded_len // 2 + 1]
+    def pad(self, u: np.ndarray) -> np.ndarray:
+        """Embed grid samples in the zero-padded window."""
+        buf = np.zeros(self.padded_len)
+        buf[self._offset : self._offset + self.grid.n] = u
+        return buf
+
+    def crop(self, buf: np.ndarray) -> np.ndarray:
+        """Grid samples of a function on the padded window."""
+        return buf[self._offset : self._offset + self.grid.n]
 
 
-def make_operator(
-    grid: Grid,
-    pad_factor: int = DEFAULT_PAD_FACTOR,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> HalfLaplacianOperator:
-    """Build the spectral operator with transform length >= pad_factor * n.
-
-    Padding suppresses periodic wrap-around of algebraically decaying inputs
-    (u ~ c/x^2 in the wall tails).
-    """
-    if pad_factor < 4:
-        raise ValueError("pad_factor must be at least 4")
-    padded_len = scipy.fft.next_fast_len(pad_factor * grid.n, real=True)
-    k = 2.0 * math.pi * np.fft.fftfreq(padded_len, grid.spacing)
-    return HalfLaplacianOperator(
-        grid=grid, padded_len=padded_len, multipliers=np.abs(k), tail_tol=tail_tol
-    )
+def make_operator(grid: Grid) -> HalfLaplacianOperator:
+    """Build the padded lattice for a grid, with transform length the
+    smallest fast real-FFT size >= 4n."""
+    padded_len = scipy.fft.next_fast_len(PAD_FACTOR * grid.n, real=True)
+    k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
+    return HalfLaplacianOperator(grid=grid, padded_len=padded_len, wavenumbers=k)
 
 
-def _check_tail(op: HalfLaplacianOperator, u: np.ndarray, name: str = "u") -> None:
-    tail = max(abs(u[0]), abs(u[-1]))
-    if tail > op.tail_tol:
-        raise TailTooLargeError(
-            f"|{name}| at the grid ends is {tail:.3g} > {op.tail_tol:.3g}; "
-            "nonlocal operators expect u = sin(theta) - h"
-        )
-
-
-def _padded(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    buf = np.zeros(op.padded_len)
-    off = op._offset
-    buf[off : off + op.grid.n] = u
-    return buf
-
-
-def _end_mean(u: np.ndarray) -> float:
-    return 0.5 * (u[0] + u[-1])
-
-
-def apply_raw(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    """Padded-transform half-Laplacian without the constant-subtraction
-    convention; used internally where the caller handles constants."""
-    buf = _padded(op, u)
-    spec = np.fft.rfft(buf) * op._rfft_multipliers
-    out = np.fft.irfft(spec, op.padded_len)
-    off = op._offset
-    return out[off : off + op.grid.n]
-
-
-def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    """Half-Laplacian by zero-padded FFT with multiplier |k|.
+def transform(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
+    """Real-FFT spectrum of u on the padded lattice.
 
     The mean of the two end values is subtracted before padding so that
     additive constants are annihilated exactly and edge leakage does not
-    contaminate the low modes.
+    contaminate the low modes. Raises TailTooLargeError when u does not
+    decay at the grid ends.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (op.grid.n,):
         raise ValueError(f"sample length {u.shape} does not match grid n={op.grid.n}")
-    _check_tail(op, u - _end_mean(u))
-    return apply_raw(op, u - _end_mean(u))
+    v = u - 0.5 * (u[0] + u[-1])
+    tail = max(abs(v[0]), abs(v[-1]))
+    if tail > TAIL_TOL:
+        raise TailTooLargeError(
+            f"|input| at the grid ends is {tail:.3g} > {TAIL_TOL:.3g}; "
+            "nonlocal operators expect u = sin(theta) - h"
+        )
+    return np.fft.rfft(op.pad(v))
+
+
+def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
+    """sum |k| Re(su conj(sw)) dx / N over the full lattice, from two
+    real-FFT spectra; exactly symmetric in its arguments."""
+    terms = op.wavenumbers * np.real(su * np.conj(sw))
+    total = terms[0] + 2.0 * np.sum(terms[1:-1])
+    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
+    return float(total) * op.grid.spacing / op.padded_len
+
+
+def field(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:
+    """Grid samples of the half-Laplacian of the function with spectrum su."""
+    return op.crop(np.fft.irfft(su * op.wavenumbers, op.padded_len))
+
+
+def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
+    """Half-Laplacian by zero-padded FFT with multiplier |k|."""
+    return field(op, transform(op, u))
 
 
 def default_delta(nu: float) -> float:
@@ -182,25 +181,11 @@ def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
     """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx.
 
     Evaluated in the frequency domain (Parseval) on the padded lattice, which
-    makes the form exactly symmetric and exactly equal to
-    sum |k| Re(u_hat conj(w_hat)) dx / N.
+    makes the form exactly symmetric; pairing(op, u, u) transforms once.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    _check_tail(op, u - _end_mean(u))
-    _check_tail(op, w - _end_mean(w), name="w")
-    bu = _padded(op, u - _end_mean(u))
-    bw = _padded(op, w - _end_mean(w))
-    su = np.fft.rfft(bu)
-    sw = np.fft.rfft(bw)
-    terms = op._rfft_multipliers * np.real(su * np.conj(sw))
-    total = terms[0] + 2.0 * np.sum(terms[1:-1])
-    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
-    return float(total) * grid_dx(op) / op.padded_len
-
-
-def grid_dx(op: HalfLaplacianOperator) -> float:
-    return op.grid.spacing
+    su = transform(op, u)
+    sw = su if w is u else transform(op, w)
+    return parseval(op, su, sw)
 
 
 def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:

@@ -11,6 +11,8 @@ u = sin(theta) - h extend by zero.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +29,9 @@ __all__ = [
     "make_initial_profile",
     "recenter",
     "reflect_compose",
-    "boundary_slack",
     "save_profile",
     "load_profile",
+    "write_text_atomic",
 ]
 
 
@@ -93,8 +95,8 @@ def make_params(nu: float, h: float) -> ModelParams:
     Two distinct vacua of the energy exist only for |h| < 1; we restrict to
     0 <= h < 1.
     """
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative (got {nu})")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be nonnegative and finite (got {nu})")
     if not (0.0 <= h < 1.0):
         raise ValueError(f"h must lie in [0, 1) (got {h})")
     return ModelParams(nu=float(nu), h=float(h), theta_h=math.asin(h))
@@ -106,18 +108,13 @@ def make_grid(n: int, half_width: float) -> Grid:
         raise ValueError(f"grid needs at least 16 points (got {n})")
     if n % 2 == 0:
         raise ValueError(f"grid point count must be odd (got {n})")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive (got {half_width})")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be positive and finite (got {half_width})")
     nodes = np.linspace(-half_width, half_width, n)
     # enforce exact symmetry about 0 against linspace roundoff
     nodes = 0.5 * (nodes - nodes[::-1])
     nodes[n // 2] = 0.0
     return Grid(n=n, half_width=float(half_width), spacing=float(nodes[1] - nodes[0]), nodes=nodes)
-
-
-def boundary_slack(params: ModelParams) -> float:
-    """Default admissibility slack eps_bc = 1e-3 * (pi - 2 theta_h)."""
-    return 1e-3 * (math.pi - 2.0 * params.theta_h)
 
 
 def _template(x: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -224,8 +221,23 @@ def reflect_compose(p: WallProfile) -> WallProfile:
     return p.with_theta(math.pi - p.theta[::-1])
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and a
+    rename, so readers see either the old file or the complete new one."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_profile(path, p: WallProfile) -> None:
-    """Write a profile as two-column text with a parameter header.
+    """Write a profile atomically as two-column text with a parameter header.
 
     Values are written with 17 significant digits so that the round trip is
     bit exact.
@@ -234,12 +246,12 @@ def save_profile(path, p: WallProfile) -> None:
     lines = [f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"]
     for xi, ti in zip(g.nodes, p.theta):
         lines.append(f"{xi:.17g} {ti:.17g}\n")
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    write_text_atomic(path, "".join(lines))
 
 
 def load_profile(path) -> WallProfile:
-    """Read a profile written by :func:`save_profile`."""
+    """Read a profile written by :func:`save_profile`; its x column must be
+    exactly the nodes of the grid named in the header."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -253,5 +265,7 @@ def load_profile(path) -> WallProfile:
     if data.shape != (n, 2):
         raise ValueError(f"expected {n} rows of (x, theta), got shape {data.shape}")
     grid = make_grid(n, half_width)
+    if not np.array_equal(data[:, 0], grid.nodes):
+        raise ValueError(f"x column does not match the n={n}, L={half_width:.17g} grid nodes")
     params = make_params(nu, h)
     return WallProfile(grid=grid, theta=data[:, 1].copy(), params=params)

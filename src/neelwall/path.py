@@ -12,16 +12,12 @@ coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import energy, trapezoid_weights
-from .errors import (
-    CenterDegenerateError,
-    NotRecentredError,
-    RangeViolationError,
-)
+from .errors import NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, pairing
 from .model import WallProfile
 
@@ -29,7 +25,6 @@ __all__ = [
     "PathPoint",
     "CertificateVerdict",
     "interpolate_profiles",
-    "path_derivative_fields",
     "path_scan",
     "stationarity_defect",
     "uniqueness_certificate",
@@ -38,7 +33,6 @@ __all__ = [
 
 RECENTRE_TOL = 1e-8
 CLAMP_SLACK = 1e-15
-CENTER_SLOPE_FLOOR = 1e-8
 DEFAULT_T_POINTS = 41
 
 
@@ -61,6 +55,7 @@ class CertificateVerdict:
     derivative_tol: float
     difference_tol: float
     identical_inputs: bool
+    points: list[PathPoint] = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -97,6 +92,16 @@ def _mix_sin(p1: WallProfile, p2: WallProfile, t: float) -> np.ndarray:
     return np.clip(s, -1.0, 1.0)
 
 
+def _path_theta(p1: WallProfile, p2: WallProfile, t: float) -> np.ndarray:
+    """theta^t from the mixed sine, branch pi - arcsin on x < 0, with the
+    center node pinned at pi/2."""
+    s = _mix_sin(p1, p2, t)
+    arcsin = np.arcsin(s)
+    theta = np.where(p1.grid.nodes >= 0.0, arcsin, math.pi - arcsin)
+    theta[p1.grid.center_index] = math.pi / 2.0
+    return theta
+
+
 def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProfile:
     """Profile theta^t with sin theta^t = t sin theta_1 + (1-t) sin theta_2,
     branch pi - arcsin on x < 0; the center node is pi/2 for every t."""
@@ -105,64 +110,7 @@ def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProf
         return p1.with_theta(p1.theta.copy())
     if t == 0.0:
         return p2.with_theta(p2.theta.copy())
-    s = _mix_sin(p1, p2, t)
-    x = p1.grid.nodes
-    theta = np.where(x >= 0.0, np.arcsin(s), math.pi - np.arcsin(s))
-    theta[p1.grid.center_index] = math.pi / 2.0
-    return p1.with_theta(theta)
-
-
-def _center_slopes(p1: WallProfile, p2: WallProfile) -> tuple[float, float]:
-    c = p1.grid.center_index
-    dx = p1.grid.spacing
-    g1 = (p1.theta[c + 1] - p1.theta[c - 1]) / (2.0 * dx)
-    g2 = (p2.theta[c + 1] - p2.theta[c - 1]) / (2.0 * dx)
-    if abs(g1) < CENTER_SLOPE_FLOOR or abs(g2) < CENTER_SLOPE_FLOOR:
-        raise CenterDegenerateError(
-            "profile slope at x=0 below 1e-8; center formulas are singular"
-        )
-    return g1, g2
-
-
-def path_derivative_fields(
-    p1: WallProfile, p2: WallProfile, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodal samples of theta^t_x and its first two t-derivatives.
-
-    The generic formulas divide by cos theta^t and are 0/0 at the center
-    node, where closed forms in the endpoint slopes replace them:
-    theta^t_x(0) = -sqrt(t g1^2 + (1-t) g2^2) with g_i the center slopes.
-    """
-    _require_pair(p1, p2)
-    g1, g2 = _center_slopes(p1, p2)
-    grid = p1.grid
-    c = grid.center_index
-    dx = grid.spacing
-    s1, s2 = np.sin(p1.theta), np.sin(p2.theta)
-    s = _mix_sin(p1, p2, t)
-    theta_t = np.where(grid.nodes >= 0.0, np.arcsin(s), math.pi - np.arcsin(s))
-    cs = np.cos(theta_t)
-    cs[c] = 1.0  # placeholder; center values are overwritten below
-    sn = np.sin(theta_t)
-    t1x = np.gradient(p1.theta, dx)
-    t2x = np.gradient(p2.theta, dx)
-    sx = t * np.cos(p1.theta) * t1x + (1.0 - t) * np.cos(p2.theta) * t2x
-    sxt = np.cos(p1.theta) * t1x - np.cos(p2.theta) * t2x
-    d = s1 - s2
-
-    tx = sx / cs
-    txt = sxt / cs + sx * sn * d / cs**3
-    txtt = (
-        2.0 * sxt * sn * d / cs**3
-        + sx * d**2 * (1.0 / cs**3 + 3.0 * sn**2 / cs**5)
-    )
-
-    q = t * g1**2 + (1.0 - t) * g2**2
-    root = math.sqrt(q)
-    tx[c] = -root
-    txt[c] = (g2**2 - g1**2) / (2.0 * root)
-    txtt[c] = 0.25 * (g2**2 - g1**2) ** 2 / root**3
-    return tx, txt, txtt
+    return p1.with_theta(_path_theta(p1, p2, t))
 
 
 def _nodal_t_derivatives(
@@ -170,15 +118,11 @@ def _nodal_t_derivatives(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """theta^t and its pointwise first and second t-derivatives; exact for
     the discrete path, zero at the pinned center node."""
-    grid = p1.grid
-    c = grid.center_index
-    s1, s2 = np.sin(p1.theta), np.sin(p2.theta)
-    s = _mix_sin(p1, p2, t)
-    theta_t = np.where(grid.nodes >= 0.0, np.arcsin(s), math.pi - np.arcsin(s))
-    theta_t[c] = math.pi / 2.0
+    c = p1.grid.center_index
+    theta_t = _path_theta(p1, p2, t)
     cs = np.cos(theta_t)
     cs[c] = 1.0
-    d = s1 - s2
+    d = np.sin(p1.theta) - np.sin(p2.theta)
     dt1 = d / cs
     dt2 = d**2 * np.sin(theta_t) / cs**3
     dt1[c] = 0.0
@@ -293,7 +237,8 @@ def uniqueness_certificate(
 ) -> CertificateVerdict:
     """Convexity-based coincidence test for two candidate solutions.
 
-    Scans f'' on a 41-point t grid and evaluates f' at both endpoints.
+    Scans f'' on a 41-point t grid and evaluates f' at both endpoints; the
+    scan is kept in the verdict's points (left out of as_dict).
     If f'' > 0 throughout and both endpoint derivatives vanish (within
     10 * grad_tol * path velocity norm), convexity forces the profiles to
     coincide; the verdict cross-checks this against sup|theta_1 - theta_2|
@@ -325,6 +270,7 @@ def uniqueness_certificate(
         derivative_tol=deriv_tol,
         difference_tol=difference_tol,
         identical_inputs=identical,
+        points=points,
     )
 
 

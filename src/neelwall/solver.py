@@ -1,12 +1,10 @@
 """Energy minimization over pinned-boundary wall profiles.
 
-Two methods share the exact discrete gradient from the energy module:
-
-* ``quasi_newton`` (default): limited-memory BFGS (scipy L-BFGS-B) on the
-  interior node values, restarted in chunks when the line search stalls;
-  the line search guarantees energy decrease across accepted iterations.
-* ``gradient_flow``: explicit descent steps with Armijo backtracking; slow
-  but dependency-free of curvature information, useful on coarse grids.
+The minimizer is limited-memory BFGS (scipy L-BFGS-B) on the interior node
+values, driven by the fused energy and exact discrete gradient of the energy
+module. It runs in chunks and restarts with fresh memory when the line
+search stalls on the energy decrease before the gradient tolerance is met;
+the line search guarantees energy decrease across accepted iterations.
 
 Convergence is declared on sup|gradient|/dx, which matches the continuum
 Euler-Lagrange residual scale. The translation degeneracy is removed by
@@ -14,7 +12,8 @@ pinning theta(0) = pi/2 during the iteration: the discrete energy is flat
 along sub-grid translations, so an unpinned iterate can stop anywhere on
 the valley, and recentring it by resampling would re-inject an O(dx^2)
 gradient defect far above the default tolerance. The pin is inactive at
-the symmetric minimizer, where the full gradient vanishes anyway.
+the symmetric minimizer, where the full gradient vanishes anyway, and a
+short unpinned polish follows the pinned phase.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import numpy as np
 import scipy.optimize
 
 from . import analysis
-from .energy import energy, energy_gradient
-from .errors import StepUnderflowError, WindowTooNoisyError
+from .energy import energy_and_gradient
+from .errors import WindowTooNoisyError
 from .halflap import HalfLaplacianOperator, make_operator
 from .model import (
     EnergyBreakdown,
@@ -43,33 +42,27 @@ __all__ = [
     "SolveReport",
     "SweepRow",
     "minimize",
-    "gradient_flow_step",
-    "monotone_project",
     "sweep",
     "sweep_csv_lines",
 ]
 
-ARMIJO_C = 1e-4
-STEP_UNDERFLOW_FACTOR = 1e-16
+# Iterations per L-BFGS run; a run that stops short of the gradient
+# tolerance is restarted with fresh memory, at most MAX_RESTARTS times.
+LBFGS_CHUNK = 2000
+LBFGS_MEMORY = 30
+MAX_RESTARTS = 8
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     grad_tol: float = 1e-6
     max_iter: int = 200_000
-    method: str = "quasi_newton"
-    recenter_every: int = 2000
-    monotone_projection: bool = False
-    lbfgs_memory: int = 30
-    max_restarts: int = 8
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be positive and finite (got {self.grad_tol})")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.method not in ("gradient_flow", "quasi_newton"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -85,173 +78,81 @@ def _grad_norm(g: np.ndarray, dx: float) -> float:
     return float(np.max(np.abs(g))) / dx
 
 
-def monotone_project(theta: np.ndarray) -> np.ndarray:
-    """Isotonic (non-increasing) projection by pool-adjacent-violators."""
-    y = -theta.copy()
-    n = len(y)
-    vals = np.empty(n)
-    counts = np.empty(n, dtype=int)
-    m = 0
-    for i in range(n):
-        vals[m] = y[i]
-        counts[m] = 1
-        m += 1
-        while m > 1 and vals[m - 2] > vals[m - 1]:
-            tot = counts[m - 2] + counts[m - 1]
-            vals[m - 2] = (counts[m - 2] * vals[m - 2] + counts[m - 1] * vals[m - 1]) / tot
-            counts[m - 2] = tot
-            m -= 1
-    out = np.empty(n)
-    pos = 0
-    for b in range(m):
-        out[pos : pos + counts[b]] = vals[b]
-        pos += counts[b]
-    return -out
-
-
-def gradient_flow_step(
+def _lbfgs(
     p: WallProfile,
     op: HalfLaplacianOperator,
-    dt: float,
-    dt_initial: float | None = None,
-    pin_center: bool = False,
-) -> tuple[WallProfile, float, EnergyBreakdown]:
-    """One explicit descent step theta <- theta - dt * grad with Armijo
-    backtracking (dt halved until the energy decreases sufficiently).
+    theta: np.ndarray,
+    pin: bool,
+    max_iter: int,
+    grad_tol: float,
+):
+    """One L-BFGS run of at most min(LBFGS_CHUNK, max_iter) iterations over
+    the interior values of theta; the boundary values stay frozen, and with
+    pin the center value stays at pi/2 (its gradient component is zeroed, so
+    L-BFGS never moves it)."""
+    n = p.grid.n
+    c = p.grid.center_index
+    bl, br = theta[0], theta[-1]
 
-    Returns (new profile, accepted dt, new energy). Raises StepUnderflowError
-    when dt falls below 1e-16 times the initial step.
-    """
-    if dt_initial is None:
-        dt_initial = dt
-    e0 = energy(p, op).total
-    g = energy_gradient(p, op)
-    if pin_center:
-        g[p.grid.center_index] = 0.0
-    slope = -float(np.dot(g, g))
-    while True:
-        if dt < STEP_UNDERFLOW_FACTOR * dt_initial:
-            raise StepUnderflowError(
-                f"line-search step underflow (dt={dt:.3g}, initial={dt_initial:.3g})"
-            )
-        trial = p.with_theta(p.theta - dt * g)
-        eb = energy(trial, op)
-        if eb.total <= e0 + ARMIJO_C * dt * slope:
-            return trial, dt, eb
-        dt *= 0.5
+    def fg(ti: np.ndarray):
+        full = np.empty(n)
+        full[0], full[-1] = bl, br
+        full[1:-1] = ti
+        if pin:
+            full[c] = 0.5 * math.pi
+        eb, g = energy_and_gradient(p.with_theta(full), op)
+        if pin:
+            g[c] = 0.0
+        return eb.total, g[1:-1]
+
+    return scipy.optimize.minimize(
+        fg,
+        theta[1:-1],
+        jac=True,
+        method="L-BFGS-B",
+        options=dict(
+            maxiter=min(LBFGS_CHUNK, max_iter),
+            maxcor=LBFGS_MEMORY,
+            gtol=grad_tol * p.grid.spacing,
+            ftol=1e-22,
+            maxls=100,
+        ),
+    )
 
 
-def _run_gradient_flow(
+def _run_lbfgs(
     p: WallProfile, op: HalfLaplacianOperator, opts: SolveOptions
-) -> tuple[WallProfile, int, int]:
+) -> tuple[WallProfile, int]:
+    """Pinned L-BFGS runs until the gradient tolerance, max_iter or
+    MAX_RESTARTS, then one unpinned polish; returns the profile and the
+    iteration count."""
     dx = p.grid.spacing
     c = p.grid.center_index
-    theta = p.theta.copy()
-    theta[c] = 0.5 * math.pi
-    p = p.with_theta(theta)
-    dt0 = 0.25 * dx * dx
-    dt = dt0
-    it = 0
-    while it < opts.max_iter:
-        g = energy_gradient(p, op)
-        if _grad_norm(g, dx) <= opts.grad_tol:
-            break
-        p, dt_used, _ = gradient_flow_step(p, op, dt, dt_initial=dt0, pin_center=True)
-        dt = min(2.0 * dt_used, 100.0 * dt0)  # cautiously re-expand
-        it += 1
-        if opts.monotone_projection:
-            p = p.with_theta(monotone_project(p.theta))
-    return p, it, 0
-
-
-def _run_quasi_newton(
-    p: WallProfile, op: HalfLaplacianOperator, opts: SolveOptions
-) -> tuple[WallProfile, int, int]:
-    grid = p.grid
-    dx = grid.spacing
-    n = grid.n
-    c = grid.center_index
-    bl, br = p.theta[0], p.theta[-1]
-    half_pi = 0.5 * math.pi
-
-    # The center value stays pinned at pi/2 (zero gradient component keeps
-    # the coordinate frozen under L-BFGS), which removes the flat
-    # translation valley; the pin is inactive at the symmetric minimizer.
-    def fg(ti: np.ndarray):
-        theta = np.empty(n)
-        theta[0], theta[-1] = bl, br
-        theta[1:-1] = ti
-        theta[c] = half_pi
-        prof = p.with_theta(theta)
-        eb = energy(prof, op)
-        g = energy_gradient(prof, op)
-        gi = g[1:-1].copy()
-        gi[c - 1] = 0.0
-        return eb.total, gi
-
-    def fg_free(ti: np.ndarray):
-        theta = np.empty(n)
-        theta[0], theta[-1] = bl, br
-        theta[1:-1] = ti
-        prof = p.with_theta(theta)
-        return energy(prof, op).total, energy_gradient(prof, op)[1:-1]
-
     total_it = 0
     theta = p.theta.copy()
-    theta[c] = half_pi
-    chunk = opts.recenter_every if opts.recenter_every > 0 else opts.max_iter
+    theta[c] = 0.5 * math.pi
     restarts = 0
     while total_it < opts.max_iter:
-        res = scipy.optimize.minimize(
-            fg,
-            theta[1:-1],
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(
-                maxiter=min(chunk, opts.max_iter - total_it),
-                maxcor=opts.lbfgs_memory,
-                gtol=opts.grad_tol * dx,
-                ftol=1e-22,
-                maxls=100,
-            ),
-        )
+        res = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
         total_it += max(res.nit, 1)
         theta[1:-1] = res.x
-        theta[c] = half_pi
-        if opts.monotone_projection:
-            theta = monotone_project(theta)
+        theta[c] = 0.5 * math.pi
         p = p.with_theta(theta)
-        gnorm = _grad_norm(energy_gradient(p, op), dx)
-        if gnorm <= opts.grad_tol:
+        _, g = energy_and_gradient(p, op)
+        if _grad_norm(g, dx) <= opts.grad_tol:
             break
-        # L-BFGS stalled on ftol before reaching gtol: restart with fresh
-        # memory.
         restarts += 1
-        if restarts > opts.max_restarts:
+        if restarts > MAX_RESTARTS:
             break
     # release the pin for a short polish: the pinned result sits at the
     # symmetric minimizer up to the center-node residual, and the polish
     # cannot drift along the valley because the restoring data are local
     if total_it < opts.max_iter:
-        res = scipy.optimize.minimize(
-            fg_free,
-            theta[1:-1],
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(
-                maxiter=min(chunk, opts.max_iter - total_it),
-                maxcor=opts.lbfgs_memory,
-                gtol=opts.grad_tol * dx,
-                ftol=1e-22,
-                maxls=100,
-            ),
-        )
+        res = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
         total_it += res.nit
         theta[1:-1] = res.x
-        if opts.monotone_projection:
-            theta = monotone_project(theta)
         p = p.with_theta(theta)
-    return p, total_it, 0
+    return p, total_it
 
 
 def minimize(
@@ -270,15 +171,10 @@ def minimize(
     op = op or make_operator(p0.grid)
     p = recenter(p0)
     shifts = int(not np.array_equal(p.theta, p0.theta))
-    if opts.method == "gradient_flow":
-        p, iterations, _ = _run_gradient_flow(p, op, opts)
-    else:
-        p, iterations, _ = _run_quasi_newton(p, op, opts)
+    p, iterations = _run_lbfgs(p, op, opts)
     p = recenter(p)
-    if opts.monotone_projection:
-        p = p.with_theta(monotone_project(p.theta))
-    eb = energy(p, op)
-    gnorm = _grad_norm(energy_gradient(p, op), p.grid.spacing)
+    eb, g = energy_and_gradient(p, op)
+    gnorm = _grad_norm(g, p.grid.spacing)
     report = SolveReport(
         iterations=iterations,
         final_energy=eb,

@@ -3,7 +3,17 @@ import os
 
 import pytest
 
+from neelwall import (
+    load_profile,
+    make_initial_profile,
+    make_operator,
+    path_scan,
+    recenter,
+    save_profile,
+    uniqueness_certificate,
+)
 from neelwall.cli import main
+from neelwall.path import path_csv_lines
 
 FAST = ["--n", "257", "--half-width", "20", "--grad-tol", "1e-5"]
 
@@ -80,6 +90,24 @@ def test_path_same_profile_coincides(solved_dir, tmp_path):
     assert header == "t,f,f_prime,f_second_fd,f_second_analytic"
 
 
+def test_path_outputs_match_one_scan(solved_dir, tmp_path):
+    # path.csv comes from the certificate's own scan; both files must equal
+    # those of a separate scan and certificate
+    prof = load_profile(solved_dir / "profile.txt")
+    kink = make_initial_profile(prof.grid, prof.params, kind="kink", width=2.0)
+    save_profile(tmp_path / "kink.txt", kink)
+    code = run(["path", str(solved_dir / "profile.txt"), str(tmp_path / "kink.txt"),
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    p1, p2 = recenter(prof), recenter(kink)
+    op = make_operator(p1.grid)
+    csv = "".join(path_csv_lines(path_scan(p1, p2, op=op)))
+    cert = json.dumps(uniqueness_certificate(p1, p2, op=op).as_dict(), indent=2, sort_keys=True)
+    assert (tmp_path / "path.csv").read_bytes() == csv.encode()
+    assert (tmp_path / "certificate.json").read_bytes() == (cert + "\n").encode()
+    assert json.loads(cert)["verdict"] == "NOT_BOTH_SOLUTIONS"
+
+
 def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
     out2 = tmp_path / "other"
     code = run(
@@ -134,9 +162,17 @@ def test_config_precedence(tmp_path):
 
 def test_config_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    for text in ("bogus = 1\n", "method = quasi_newton\n"):
+        cfg.write_text(text)
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
 
 
 def test_invalid_parameter(tmp_path):
     assert run(["solve", "--h", "1.5", "--out-dir", str(tmp_path)] + FAST) == 1
+    assert run(["solve", "--nu", "nan", "--out-dir", str(tmp_path)] + FAST) == 1
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    assert run(["solve", "--nu", "abc", "--out-dir", str(tmp_path)]) == 1
+    assert run(["solve", "--init", "bogus", "--out-dir", str(tmp_path)]) == 1
+    assert run(["solve", "--help"]) == 0

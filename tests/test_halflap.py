@@ -21,12 +21,6 @@ def fine():
     return grid, make_operator(grid)
 
 
-def test_pad_factor_floor():
-    grid = make_grid(257, 40.0)
-    with pytest.raises(ValueError):
-        make_operator(grid, pad_factor=2)
-
-
 def test_annihilates_constants(fine):
     grid, op = fine
     v = apply_spectral(op, np.full(grid.n, 3.7))

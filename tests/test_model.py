@@ -26,6 +26,9 @@ def test_params_validation():
         make_params(1.0, 1.0)
     with pytest.raises(ValueError):
         make_params(1.0, -0.1)
+    for nu, h in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            make_params(nu, h)
 
 
 def test_grid_construction():
@@ -40,6 +43,9 @@ def test_grid_construction():
         make_grid(7, 20.0)
     with pytest.raises(ValueError):
         make_grid(101, -1.0)
+    for half_width in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            make_grid(101, half_width)
 
 
 @pytest.mark.parametrize("kind", ["template", "kink", "perturbed"])
@@ -105,3 +111,33 @@ def test_save_load_round_trip(tmp_path):
     assert q.grid.n == p.grid.n
     assert q.grid.half_width == p.grid.half_width
     assert np.array_equal(q.theta, p.theta)
+
+
+def test_save_profile_is_atomic(tmp_path, monkeypatch):
+    grid = make_grid(257, 40.0)
+    p = make_initial_profile(grid, make_params(1.0, 0.3), kind="kink")
+    path = tmp_path / "profile.txt"
+    path.write_text("previous run\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("neelwall.model.os.replace", fail)
+    with pytest.raises(OSError):
+        save_profile(path, p)
+    # the old file is untouched and no temp file is left behind
+    assert path.read_text() == "previous run\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["profile.txt"]
+
+
+def test_load_profile_rejects_foreign_x_column(tmp_path):
+    grid = make_grid(257, 40.0)
+    p = make_initial_profile(grid, make_params(1.0, 0.3), kind="kink")
+    path = tmp_path / "profile.txt"
+    save_profile(path, p)
+    lines = path.read_text().splitlines(keepends=True)
+    x, theta = lines[5].split()
+    lines[5] = f"{float(x) + 1e-9!r} {theta}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="x column"):
+        load_profile(path)

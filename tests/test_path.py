@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neelwall import (
-    CenterDegenerateError,
     NotRecentredError,
     RangeViolationError,
     energy,
@@ -13,7 +12,6 @@ from neelwall import (
     make_initial_profile,
     make_operator,
     make_params,
-    path_derivative_fields,
     path_scan,
     recenter,
     stationarity_defect,
@@ -74,44 +72,6 @@ def test_range_guard(pair):
     theta[c + 1] = p2.params.theta_h
     with pytest.raises(RangeViolationError):
         interpolate_profiles(p1, p2.with_theta(theta), 1.5)
-
-
-def test_center_degenerate(pair):
-    p1, _ = pair
-    flat = p1.with_theta(np.full(p1.grid.n, math.pi / 2))
-    with pytest.raises(CenterDegenerateError):
-        path_derivative_fields(flat, p1, 0.5)
-
-
-def test_derivative_fields_center_closed_form(pair):
-    p1, p2 = pair
-    c = p1.grid.center_index
-    dx = p1.grid.spacing
-    g1 = (p1.theta[c + 1] - p1.theta[c - 1]) / (2 * dx)
-    g2 = (p2.theta[c + 1] - p2.theta[c - 1]) / (2 * dx)
-    t = 0.4
-    tx, txt, txtt = path_derivative_fields(p1, p2, t)
-    assert tx[c] == pytest.approx(-math.sqrt(t * g1**2 + (1 - t) * g2**2))
-    assert txt[c] == pytest.approx((g2**2 - g1**2) / (2 * math.sqrt(t * g1**2 + (1 - t) * g2**2)))
-
-
-def test_derivative_fields_vanish_for_equal_inputs(pair):
-    p1, _ = pair
-    _, txt, txtt = path_derivative_fields(p1, p1, 0.3)
-    assert np.max(np.abs(txt)) <= 1e-12
-    assert np.max(np.abs(txtt)) <= 1e-12
-
-
-def test_derivative_fields_fd_in_t(pair):
-    p1, p2 = pair
-    t, dlt = 0.5, 1e-4
-    tx_p, _, _ = path_derivative_fields(p1, p2, t + dlt)
-    tx_m, _, _ = path_derivative_fields(p1, p2, t - dlt)
-    _, txt, _ = path_derivative_fields(p1, p2, t)
-    fd = (tx_p - tx_m) / (2 * dlt)
-    interior = slice(5, p1.grid.n - 5)
-    scale = np.max(np.abs(txt[interior]))
-    assert np.max(np.abs(fd - txt)[interior]) <= 1e-6 * scale
 
 
 def test_scan_endpoint_energies(pair, operators):

@@ -5,22 +5,13 @@ import pytest
 
 from neelwall import (
     NoCrossingError,
-    StepUnderflowError,
-    energy,
     make_grid,
     make_initial_profile,
-    make_operator,
     make_params,
     minimize,
 )
 from neelwall.model import ModelParams
-from neelwall.solver import (
-    SolveOptions,
-    gradient_flow_step,
-    monotone_project,
-    sweep,
-    sweep_csv_lines,
-)
+from neelwall.solver import SolveOptions, sweep, sweep_csv_lines
 
 
 def test_options_validation():
@@ -28,8 +19,9 @@ def test_options_validation():
         SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolveOptions(method="newton")
+    for bad in (math.nan, math.inf, -1e-6):
+        with pytest.raises(ValueError):
+            SolveOptions(grad_tol=bad)
 
 
 def test_minimize_kink_limit(solved):
@@ -56,45 +48,6 @@ def test_minimize_requires_crossing():
     )
     with pytest.raises(NoCrossingError):
         minimize(p0)
-
-
-def test_energy_decreases_under_flow_step():
-    params = make_params(1.0, 0.0)
-    grid = make_grid(257, 40.0)
-    op = make_operator(grid)
-    p = make_initial_profile(grid, params, kind="kink")
-    e0 = energy(p, op).total
-    q, dt, eb = gradient_flow_step(p, op, dt=1e-3)
-    assert eb.total < e0
-    assert dt > 0
-
-
-def test_step_underflow_on_corrupted_profile():
-    params = make_params(1.0, 0.0)
-    grid = make_grid(257, 40.0)
-    op = make_operator(grid)
-    p, _ = minimize(make_initial_profile(grid, params, kind="template"))
-    # at a minimizer no descent is possible; the backtracking must bottom out
-    with pytest.raises(StepUnderflowError):
-        gradient_flow_step(p, op, dt=1e-30, dt_initial=1.0)
-
-
-def test_gradient_flow_method_converges():
-    params = make_params(0.0, 0.0)
-    grid = make_grid(257, 20.0)
-    opts = SolveOptions(method="gradient_flow", grad_tol=1e-4, max_iter=50_000)
-    p, report = minimize(make_initial_profile(grid, params, kind="template"), opts)
-    assert report.converged
-    exact = 2.0 * np.arctan(np.exp(-grid.nodes))
-    assert np.max(np.abs(p.theta - exact)) <= 5e-3
-
-
-def test_monotone_project_is_isotonic(rng):
-    y = rng.standard_normal(50)
-    z = monotone_project(y)
-    assert np.all(np.diff(z) <= 1e-14)
-    already = np.sort(rng.standard_normal(50))[::-1]
-    assert np.allclose(monotone_project(already), already)
 
 
 def test_sweep_rows_and_error_isolation():
