@@ -10,19 +10,20 @@ The discrete energy is the quantity the solver minimizes:
 with trapezoid weights w and the Parseval stray form from halflap. One
 kernel, energy_and_gradient, evaluates it together with its exact derivative
 with respect to the interior node values (boundary nodes are
-Dirichlet-frozen): it transforms u once, takes the stray energy from that
-spectrum and the stray field from one inverse transform. The exact gradient
-guarantees monotone descent and exact stationarity at discrete minimizers.
-el_residual is the same gradient divided by dx, which on smooth profiles
-samples the continuum Euler-Lagrange operator to O(dx^2); it is a
-stationarity metric, not an independent check of the gradient.
+Dirichlet-frozen): it computes sin theta, cos theta and u once, takes the
+stray energy from pairing(u, u) and the stray field from apply_spectral(u),
+three FFTs in all. The exact gradient guarantees monotone descent and exact
+stationarity at discrete minimizers. el_residual is the same gradient
+divided by dx, which on smooth profiles samples the continuum
+Euler-Lagrange operator to O(dx^2); it is a stationarity metric, not an
+independent check of the gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .halflap import HalfLaplacianOperator, field, parseval, transform
+from .halflap import HalfLaplacianOperator, apply_spectral, pairing
 from .model import EnergyBreakdown, WallProfile
 
 __all__ = [
@@ -58,9 +59,8 @@ def energy_and_gradient(
     g[1:-1] += (u * cos)[1:-1] * dx
     stray = 0.0
     if nu > 0:
-        spectrum = transform(op, u)
-        stray = 0.25 * nu * parseval(op, spectrum, spectrum)
-        g[1:-1] += 0.5 * nu * (cos * field(op, spectrum))[1:-1] * dx
+        stray = 0.25 * nu * pairing(op, u, u)
+        g[1:-1] += 0.5 * nu * (cos * apply_spectral(op, u))[1:-1] * dx
     eb = EnergyBreakdown(
         exchange=exchange,
         potential=potential,

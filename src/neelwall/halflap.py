@@ -2,13 +2,12 @@
 
 The workhorse is a zero-padded FFT with multiplier |k| on one lattice per
 grid, HalfLaplacianOperator, which alone chooses the padded length, pads,
-crops and holds |k|; the energy kernel and the linearized operator in greenfn
-work on that lattice through transform, parseval and field. The cross-check
-is a principal-value singular integral split at a scale delta, with the inner
-part written as a symmetrized second difference (removable singularity) and
-the outer part closed in form beyond the grid using the constant extension of
-the input. A double-integral H^(1/2) seminorm oracle is provided for the
-pairing.
+crops and holds |k|; the linearized operator in greenfn works on the same
+lattice. The cross-check is a principal-value singular integral split at a
+scale delta, with the inner part written as a symmetrized second difference
+(removable singularity) and the outer part closed in form beyond the grid
+using the constant extension of the input. A double-integral H^(1/2)
+seminorm oracle is provided for the pairing.
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
@@ -27,9 +26,6 @@ from .model import Grid
 __all__ = [
     "HalfLaplacianOperator",
     "make_operator",
-    "transform",
-    "parseval",
-    "field",
     "apply_spectral",
     "apply_quadrature",
     "pairing",
@@ -78,7 +74,7 @@ def make_operator(grid: Grid) -> HalfLaplacianOperator:
     return HalfLaplacianOperator(grid=grid, padded_len=padded_len, wavenumbers=k)
 
 
-def transform(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
+def _spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Real-FFT spectrum of u on the padded lattice.
 
     The mean of the two end values is subtracted before padding so that
@@ -99,23 +95,10 @@ def transform(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     return np.fft.rfft(op.pad(v))
 
 
-def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
-    """sum |k| Re(su conj(sw)) dx / N over the full lattice, from two
-    real-FFT spectra; exactly symmetric in its arguments."""
-    terms = op.wavenumbers * np.real(su * np.conj(sw))
-    total = terms[0] + 2.0 * np.sum(terms[1:-1])
-    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
-    return float(total) * op.grid.spacing / op.padded_len
-
-
-def field(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:
-    """Grid samples of the half-Laplacian of the function with spectrum su."""
-    return op.crop(np.fft.irfft(su * op.wavenumbers, op.padded_len))
-
-
 def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Half-Laplacian by zero-padded FFT with multiplier |k|."""
-    return field(op, transform(op, u))
+    spectrum = _spectrum(op, u) * op.wavenumbers
+    return op.crop(np.fft.irfft(spectrum, op.padded_len))
 
 
 def default_delta(nu: float) -> float:
@@ -183,9 +166,13 @@ def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
     Evaluated in the frequency domain (Parseval) on the padded lattice, which
     makes the form exactly symmetric; pairing(op, u, u) transforms once.
     """
-    su = transform(op, u)
-    sw = su if w is u else transform(op, w)
-    return parseval(op, su, sw)
+    su = _spectrum(op, u)
+    sw = su if w is u else _spectrum(op, w)
+    # sum over the full lattice from its real-FFT half
+    terms = op.wavenumbers * np.real(su * np.conj(sw))
+    total = terms[0] + 2.0 * np.sum(terms[1:-1])
+    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
+    return float(total) * op.grid.spacing / op.padded_len
 
 
 def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:

@@ -55,7 +55,7 @@ class CertificateVerdict:
     derivative_tol: float
     difference_tol: float
     identical_inputs: bool
-    points: list[PathPoint] = field(repr=False)
+    points: list[PathPoint] = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
