@@ -19,6 +19,7 @@ from .analysis import (
     fit_decay,
     symmetry_defect,
     tail_decay_check,
+    verify,
 )
 from .energy import el_residual, energy, energy_gradient
 from .errors import (

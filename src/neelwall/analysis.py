@@ -1,9 +1,11 @@
-"""Structural checks on computed wall profiles.
+"""Structural checks on computed wall profiles, and verify, which gates them.
 
 Covers the qualitative claims a minimizer must satisfy: monotone decrease,
 reflection symmetry theta(x) + theta(-x) = pi, algebraic x^-2 tail decay,
 and closed-form a-priori bounds on theta_x, the stray field v, and
-theta_xx in terms of the total energy.
+theta_xx in terms of the total energy. verify runs them all on one profile
+with the stationarity, stray-field and Green-function checks, and owns every
+tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy
+from . import greenfn
+from .energy import energy, energy_and_gradient
 from .errors import WindowTooNoisyError
-from .halflap import HalfLaplacianOperator, apply_quadrature, apply_spectral, make_operator
+from .halflap import (
+    HalfLaplacianOperator,
+    apply_quadrature,
+    apply_spectral,
+    default_delta,
+    make_operator,
+)
 from .model import WallProfile
 
 __all__ = [
@@ -27,11 +36,19 @@ __all__ = [
     "check_bounds",
     "derivative_sup",
     "tail_decay_check",
-    "stray_field_crosscheck",
+    "verify",
 ]
 
 MONOTONE_TOL = 1e-10
 PLATEAU_SPREAD_LIMIT = 0.5
+
+# verify gates
+VERIFY_EL_TOL = 1e-5
+VERIFY_SYMMETRY_TOL = 1e-4
+VERIFY_CROSSCHECK_TOL = 1e-3
+VERIFY_RECONSTRUCTION_TOL = 5e-2
+VERIFY_DECAY_GAP_TOL = 0.2
+CROSSCHECK_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -188,55 +205,90 @@ def check_bounds(p: WallProfile, op: HalfLaplacianOperator | None = None) -> Bou
     reported via the satisfied flags, never raised.
     """
     op = op or make_operator(p.grid)
-    nu, h = p.params.nu, p.params.h
-    ah = abs(h)
-    e_total = energy(p, op).total
-    sup_tx = derivative_sup(p, 1)
-    sup_txx = derivative_sup(p, 2)
-    u = np.sin(p.theta) - h
-    if nu > 0:
-        v = apply_spectral(op, u)
+    v = apply_spectral(op, np.sin(p.theta) - p.params.h) if p.params.nu > 0 else None
+    return _bounds(p, energy(p, op).total, v)
+
+
+def _bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> BoundsReport:
+    """check_bounds from the total energy and the stray field v (None at nu = 0)."""
+    nu = p.params.nu
+    ah = abs(p.params.h)
+    if v is not None:
         sup_v = float(np.max(np.abs(v)))
         bound_v = 4.0 * nu / math.pi**2 + (2.0 / nu) * (1.0 + ah + (1.0 + ah) ** 2) + 4.0 * e_total
     else:
         sup_v = 0.0
         bound_v = math.inf
-    bound_tx = math.sqrt((1.0 + ah) ** 2 + 2.0 * nu * e_total)
-    bound_txx = 1.0 + ah + (nu / 2.0) * sup_v
     return BoundsReport(
-        sup_theta_x=sup_tx,
-        bound_theta_x=bound_tx,
+        sup_theta_x=derivative_sup(p, 1),
+        bound_theta_x=math.sqrt((1.0 + ah) ** 2 + 2.0 * nu * e_total),
         sup_v=sup_v,
         bound_v=bound_v,
-        sup_theta_xx=sup_txx,
-        bound_theta_xx=bound_txx,
+        sup_theta_xx=derivative_sup(p, 2),
+        bound_theta_xx=1.0 + ah + (nu / 2.0) * sup_v,
     )
 
 
-def stray_field_crosscheck(
-    p: WallProfile,
-    op: HalfLaplacianOperator | None = None,
-    n_samples: int = 5,
-    seed: int = 0,
-) -> float:
-    """Max discrepancy between the spectral stray field and the singular
-    integral quadrature at randomly chosen interior nodes."""
-    op = op or make_operator(p.grid)
+def _stray_crosscheck(p: WallProfile, u: np.ndarray, v: np.ndarray, seed: int) -> float:
+    """Max discrepancy between the spectral stray field v of u and the
+    singular-integral quadrature at randomly chosen interior nodes."""
     grid = p.grid
-    nu = p.params.nu
-    if nu <= 0:
-        return 0.0
-    delta = math.pi / nu
-    u = np.sin(p.theta) - p.params.h
-    v = apply_spectral(op, u)
+    delta = default_delta(p.params.nu)
     margin = int(math.ceil(delta / grid.spacing)) + 2
     lo, hi = margin, grid.n - margin
     if hi <= lo:
         raise ValueError("grid too small for the quadrature window")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(lo, hi, size=n_samples)
-    worst = 0.0
-    for i in idx:
-        vq = apply_quadrature(u, grid, int(i), delta)
-        worst = max(worst, abs(vq - v[i]))
-    return worst
+    idx = np.random.default_rng(seed).integers(lo, hi, size=CROSSCHECK_SAMPLES)
+    return max(float(abs(apply_quadrature(u, grid, int(i), delta) - v[i])) for i in idx)
+
+
+def _gate(key: str, value: float, tol: float) -> dict:
+    return {key: value, "tol": tol, "passed": value <= tol}
+
+
+def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 0) -> dict:
+    """Check a computed wall against the paper's claims and gate each check.
+
+    Returns {"passed": all checks passed, "checks": {name: {..., "passed"}}}
+    with the checks el_residual, monotone, symmetry, decay_fit, bounds and
+    tail_decay, and at nu > 0 also stray_crosscheck, reconstruction and
+    (when the tail fit succeeds) decay_prediction. The energy and its
+    gradient are evaluated once, and so is the stray field v, which serves
+    the bounds and the quadrature cross-check at seeded random nodes.
+    """
+    op = op or make_operator(p.grid)
+    nu = p.params.nu
+    eb, grad = energy_and_gradient(p, op)
+    u = np.sin(p.theta) - p.params.h
+    v = apply_spectral(op, u) if nu > 0 else None
+    fit, decay_fit = None, {"skipped": "exponential decay at nu=0", "passed": True}
+    if nu > 0:
+        try:
+            fit = fit_decay(p)
+            decay_fit = {"c_plus": fit.c_plus, "c_minus": fit.c_minus, "plateau_spread": fit.plateau_spread,
+                         "passed": True}
+        except WindowTooNoisyError as exc:
+            decay_fit = {"error": str(exc), "passed": False}
+    mono_ok, mono_violation = check_monotone(p)
+    bounds = _bounds(p, eb.total, v)
+    checks = {
+        "el_residual": _gate("max", float(np.max(np.abs(grad[1:-1] / p.grid.spacing))), VERIFY_EL_TOL),
+        "monotone": {"max_violation": mono_violation, "passed": mono_ok},
+        "symmetry": _gate("defect", symmetry_defect(p), VERIFY_SYMMETRY_TOL),
+        "decay_fit": decay_fit,
+        "bounds": dict(bounds.as_dict(), passed=bounds.all_satisfied),
+        "tail_decay": {"passed": tail_decay_check(p)},
+    }
+    if nu > 0:
+        gap = _stray_crosscheck(p, u, v, seed)
+        checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
+        lin = greenfn.make_linearized(p.params, p.grid)
+        fp = greenfn.fold(p, op)
+        resid = greenfn.reconstruct(fp, lin)
+        checks["reconstruction"] = _gate("relative_residual", resid, VERIFY_RECONSTRUCTION_TOL)
+        if fit is not None:
+            pred = greenfn.decay_prediction(fp, lin)
+            rel = abs(pred - fit.c_plus) / abs(fit.c_plus) if fit.c_plus else math.inf
+            checks["decay_prediction"] = {"predicted": pred, "fitted": fit.c_plus, "relative_gap": rel,
+                                          "passed": rel <= VERIFY_DECAY_GAP_TOL}
+    return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}

@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from . import analysis, greenfn, path as pathmod, solver
-from .energy import el_residual
-from .errors import NeelWallError, WindowTooNoisyError
+from . import analysis, path as pathmod, solver
+from .errors import NeelWallError
 from .halflap import (
     apply_quadrature,
     apply_spectral,
@@ -56,10 +55,6 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_CONTRADICTION = 4
-
-VERIFY_EL_TOL = 1e-5
-VERIFY_SYMMETRY_TOL = 1e-4
-VERIFY_RECONSTRUCTION_TOL = 5e-2
 
 
 def _write_json_atomic(path: str, obj) -> None:
@@ -140,72 +135,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
-    p = load_profile(args.profile)
-    op = make_operator(p.grid)
-    checks = {}
-
-    el = el_residual(p, op)
-    el_max = float(np.max(np.abs(el)))
-    checks["el_residual"] = {"max": el_max, "tol": VERIFY_EL_TOL, "passed": el_max <= VERIFY_EL_TOL}
-
-    mono_ok, mono_violation = analysis.check_monotone(p)
-    checks["monotone"] = {"max_violation": mono_violation, "passed": mono_ok}
-
-    sym = analysis.symmetry_defect(p)
-    checks["symmetry"] = {
-        "defect": sym,
-        "tol": VERIFY_SYMMETRY_TOL,
-        "passed": sym <= VERIFY_SYMMETRY_TOL,
-    }
-
-    if p.params.nu > 0:
-        try:
-            fit = analysis.fit_decay(p)
-            checks["decay_fit"] = {
-                "c_plus": fit.c_plus,
-                "c_minus": fit.c_minus,
-                "plateau_spread": fit.plateau_spread,
-                "passed": True,
-            }
-        except WindowTooNoisyError as exc:
-            checks["decay_fit"] = {"error": str(exc), "passed": False}
-    else:
-        checks["decay_fit"] = {"skipped": "exponential decay at nu=0", "passed": True}
-
-    bounds = analysis.check_bounds(p, op)
-    checks["bounds"] = dict(bounds.as_dict(), passed=bounds.all_satisfied)
-
-    tail_ok = analysis.tail_decay_check(p)
-    checks["tail_decay"] = {"passed": tail_ok}
-
-    if p.params.nu > 0:
-        crosscheck = analysis.stray_field_crosscheck(p, op, seed=cfg["seed"])
-        checks["stray_crosscheck"] = {"max_discrepancy": crosscheck, "passed": True}
-        lin = greenfn.make_linearized(p.params, p.grid)
-        fp = greenfn.fold(p, op)
-        resid = greenfn.reconstruct(fp, lin)
-        checks["reconstruction"] = {
-            "relative_residual": resid,
-            "tol": VERIFY_RECONSTRUCTION_TOL,
-            "passed": resid <= VERIFY_RECONSTRUCTION_TOL,
-        }
-        if checks["decay_fit"].get("passed") and "c_plus" in checks["decay_fit"]:
-            pred = greenfn.decay_prediction(fp, lin)
-            c_plus = checks["decay_fit"]["c_plus"]
-            rel = abs(pred - c_plus) / abs(c_plus) if c_plus else math.inf
-            checks["decay_prediction"] = {
-                "predicted": pred,
-                "fitted": c_plus,
-                "relative_gap": rel,
-                "passed": rel <= 0.2,
-            }
-
-    all_passed = all(c["passed"] for c in checks.values())
-    report = {"profile": args.profile, "passed": all_passed, "checks": checks}
-    _write_json_atomic(os.path.join(out, "verify.json"), report)
-    for name, c in checks.items():
+    result = analysis.verify(load_profile(args.profile), seed=cfg["seed"])
+    _write_json_atomic(os.path.join(out, "verify.json"), {"profile": args.profile, **result})
+    for name, c in result["checks"].items():
         print(f"{'PASS' if c['passed'] else 'FAIL'} {name}")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
 
 
 def cmd_path(args: argparse.Namespace) -> int:

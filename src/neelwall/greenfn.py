@@ -82,17 +82,21 @@ def apply_linearized(w: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     return lattice.crop(np.fft.irfft(lin.symbol * spectrum, n=lattice.padded_len))
 
 
-def _green_padded(lin: LinearizedOperator) -> np.ndarray:
-    return np.fft.irfft(1.0 / lin.symbol, n=lin.lattice.padded_len) / lin.grid.spacing
+def _solve(s: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
+    """sum_j s_j G(x_i - x_j) on the grid nodes, i.e. L^{-1} of point
+    masses s_j at the nodes: one division by the symbol on the padded
+    lattice."""
+    lattice = lin.lattice
+    spectrum = np.fft.rfft(lattice.pad(s)) / lin.symbol
+    return lattice.crop(np.fft.irfft(spectrum, n=lattice.padded_len)) / lin.grid.spacing
 
 
 def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
     """G on the grid nodes: inverse transform of 1 / symbol; even and
     positive, with G(x) = O(1/x^2)."""
-    g_pad = _green_padded(lin)
-    c = lin.grid.center_index
-    idx = (np.arange(lin.grid.n) - c) % lin.lattice.padded_len
-    return g_pad[idx]
+    impulse = np.zeros(lin.grid.n)
+    impulse[lin.grid.center_index] = 1.0
+    return _solve(impulse, lin)
 
 
 def convolve_green(f: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
@@ -101,12 +105,7 @@ def convolve_green(f: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     grid = lin.grid
     if len(f) != grid.n:
         raise ValueError("sample length does not match the grid")
-    g_pad = _green_padded(lin)
-    n = grid.n
-    offsets = (np.arange(-(n - 1), n)) % lin.lattice.padded_len
-    g_full = g_pad[offsets]
-    fw = f * trapezoid_weights(n, grid.spacing)
-    return np.convolve(g_full, fw)[n - 1 : 2 * n - 1]
+    return _solve(f * trapezoid_weights(grid.n, grid.spacing), lin)
 
 
 def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfile:
@@ -143,7 +142,11 @@ def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfi
 
 
 def _reconstructed_deviation(fp: FoldedProfile, lin: LinearizedOperator) -> np.ndarray:
-    return fp.a * fundamental_solution(lin) + convolve_green(fp.forcing, lin)
+    """a G + G * f in one solve: the fold's point mass plus the weighted forcing."""
+    grid = fp.grid
+    s = fp.forcing * trapezoid_weights(grid.n, grid.spacing)
+    s[grid.center_index] += fp.a
+    return _solve(s, lin)
 
 
 def reconstruct(fp: FoldedProfile, lin: LinearizedOperator) -> float:

@@ -37,6 +37,8 @@ __all__ = [
 # the periodic images of the c/x^2 wall tails out of the window.
 PAD_FACTOR = 4
 TAIL_TOL = 1e-2
+# Rows of the seminorm oracle's n x n integrand held in memory at once.
+SEMINORM_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -187,16 +189,19 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     n, dx, L = grid.n, grid.spacing, grid.half_width
     x = grid.nodes
     v = u - 0.5 * (u[0] + u[-1])
-    diff = v[:, None] - v[None, :]
-    dist = x[:, None] - x[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (diff / dist) ** 2
     # diagonal: limit is u'(x)^2
-    du = np.gradient(v, dx)
-    np.fill_diagonal(integrand, du**2)
+    du2 = np.gradient(v, dx) ** 2
     wt = np.full(n, dx)
     wt[0] = wt[-1] = 0.5 * dx
-    core = float(wt @ integrand @ wt)
+    # wt @ integrand, accumulated over row blocks of the n x n integrand
+    col_sums = np.zeros(n)
+    for start in range(0, n, SEMINORM_BLOCK_ROWS):
+        rows = np.arange(start, min(start + SEMINORM_BLOCK_ROWS, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = ((v[rows, None] - v[None, :]) / (x[rows, None] - x[None, :])) ** 2
+        block[rows - start, rows] = du2[rows]
+        col_sums += wt[rows] @ block
+    core = float(col_sums @ wt)
     # tails: for each x in the window, int over |y| > L of v(x)^2/(x-y)^2 dy
     tail_density = v**2 * (1.0 / (L - x + 0.5 * dx) + 1.0 / (L + x + 0.5 * dx))
     # shift ends by dx/2 to avoid the double-counted corner at x = +/-L

@@ -257,6 +257,9 @@ def load_profile(path) -> WallProfile:
         if not header.startswith("#"):
             raise ValueError("profile file missing parameter header")
         fields = dict(tok.split("=", 1) for tok in header[1:].split())
+        missing = [key for key in ("nu", "h", "n", "L") if key not in fields]
+        if missing:
+            raise ValueError(f"profile header lacks {', '.join(missing)}")
         nu = float(fields["nu"])
         h = float(fields["h"])
         n = int(fields["n"])

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -15,8 +16,12 @@ from neelwall import (
     reflect_compose,
     symmetry_defect,
     tail_decay_check,
+    verify,
 )
-from neelwall.analysis import derivative_sup, stray_field_crosscheck
+from neelwall.analysis import derivative_sup
+
+# the package root exports a function named energy, which hides the module
+MODULES = [importlib.import_module(f"neelwall.{m}") for m in ("analysis", "energy", "greenfn", "halflap")]
 
 
 def _kink(grid, params):
@@ -141,4 +146,50 @@ def test_tail_decay_on_minimizer(solved):
 def test_stray_crosscheck_small(solved, operators):
     p, _ = solved(1.0, 0.0, n=1025)
     _, op = operators(1025)
-    assert stray_field_crosscheck(p, op) <= 1e-3
+    check = verify(p, op)["checks"]["stray_crosscheck"]
+    assert check["max_discrepancy"] <= 1e-3
+    assert check["tol"] == 1e-3 and check["passed"]
+
+
+def test_stray_crosscheck_fails_on_a_foreign_operator(solved):
+    # an operator on [-2L, 2L] has twice the spacing, so half the profile's |k|
+    p, _ = solved(1.0, 0.0, n=1025)
+    op = make_operator(make_grid(p.grid.n, 2 * p.grid.half_width))
+    report = verify(p, op)
+    assert not report["checks"]["stray_crosscheck"]["passed"]
+    assert not report["passed"]
+
+
+def test_verify_local_limit_runs_six_checks(solved):
+    p, _ = solved(0.0, 0.0)
+    report = verify(p)
+    assert list(report["checks"]) == [
+        "el_residual", "monotone", "symmetry", "decay_fit", "bounds", "tail_decay"
+    ]
+    assert report["passed"]
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of the package function `name` made through any module."""
+    calls = []
+    original = next(getattr(mod, name) for mod in MODULES if hasattr(mod, name))
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in MODULES:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_verify_evaluates_each_field_once(solved, operators, monkeypatch):
+    p, _ = solved(1.0, 0.25)
+    _, op = operators()
+    spectral = _count_calls(monkeypatch, "apply_spectral")
+    kernel = _count_calls(monkeypatch, "energy_and_gradient")
+    report = verify(p, op)
+    assert "decay_prediction" in report["checks"]
+    assert len(kernel) == 1
+    assert len(spectral) <= 3

@@ -11,6 +11,7 @@ from neelwall import (
     recenter,
     save_profile,
     uniqueness_certificate,
+    verify,
 )
 from neelwall.cli import main
 from neelwall.path import path_csv_lines
@@ -78,6 +79,24 @@ def test_verify_fail_on_corrupted(solved_dir, tmp_path):
 
 def test_verify_missing_file(tmp_path):
     assert run(["verify", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_profile_header_missing_a_key_exits_1(solved_dir, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# nu=1 h=0 n=17\n")
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("nu", ["1", "0"])
+def test_verify_json_matches_library(tmp_path, nu):
+    solve_dir = tmp_path / "solve"
+    assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(solve_dir)] + FAST) == 0
+    prof = solve_dir / "profile.txt"
+    assert run(["verify", str(prof), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["checks"] == verify(load_profile(prof), seed=3)["checks"]
+    assert report["profile"] == str(prof)
 
 
 def test_path_same_profile_coincides(solved_dir, tmp_path):

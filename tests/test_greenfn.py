@@ -13,6 +13,7 @@ from neelwall import (
     make_params,
     reconstruct,
 )
+from neelwall.energy import trapezoid_weights
 from neelwall.greenfn import FoldedProfile, apply_linearized, convolve_green
 
 
@@ -45,6 +46,29 @@ def test_green_positive_even_bounded(nu, h):
     x = grid.nodes
     tail = np.abs(x) >= 0.25 * grid.half_width
     assert np.max(x[tail] ** 2 * g[tail]) < 10.0
+
+
+def _direct_green(lin):
+    """Lattice values irfft(1 / symbol) / dx at the node offsets -(n-1)..n-1."""
+    n, padded_len = lin.grid.n, lin.lattice.padded_len
+    g_pad = np.fft.irfft(1.0 / lin.symbol, n=padded_len) / lin.grid.spacing
+    return g_pad[np.arange(-(n - 1), n) % padded_len]
+
+
+@pytest.mark.parametrize("nu,h", [(1.0, 0.3), (4.0, 0.75), (0.5, 0.0)])
+def test_solve_matches_direct_convolution(nu, h):
+    # reference: the lattice G gathered at the node offsets and convolved
+    # directly with the trapezoid-weighted forcing
+    grid = make_grid(1025, 40.0)
+    lin = make_linearized(make_params(nu, h), grid)
+    n, c, x = grid.n, grid.center_index, grid.nodes
+    g_full = _direct_green(lin)
+    g = fundamental_solution(lin)
+    assert np.max(np.abs(g - g_full[c : c + n])) <= 1e-13 * np.max(g)
+    for f in (np.exp(-0.25 * x**2), (1.0 + x) / (1.0 + x**2)):
+        direct = np.convolve(g_full, f * trapezoid_weights(n, grid.spacing))[n - 1 : 2 * n - 1]
+        gf = convolve_green(f, lin)
+        assert np.max(np.abs(gf - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_green_mass_is_symbol_at_zero(setup):
