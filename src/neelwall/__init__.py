@@ -40,6 +40,7 @@ from .greenfn import (
     fundamental_solution,
     make_linearized,
     reconstruct,
+    reconstructed_deviation,
 )
 from .halflap import (
     HalfLaplacianOperator,

@@ -254,7 +254,8 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     tail_decay, and at nu > 0 also stray_crosscheck, reconstruction and
     (when the tail fit succeeds) decay_prediction. The energy and its
     gradient are evaluated once, and so is the stray field v, which serves
-    the bounds and the quadrature cross-check at seeded random nodes.
+    the bounds and the quadrature cross-check at seeded random nodes; the
+    Green checks share op's lattice and one a G + G * f solve.
     """
     op = op or make_operator(p.grid)
     nu = p.params.nu
@@ -282,12 +283,13 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     if nu > 0:
         gap = _stray_crosscheck(p, u, v, seed)
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
-        lin = greenfn.make_linearized(p.params, p.grid)
+        lin = greenfn.make_linearized(p.params, p.grid, op)
         fp = greenfn.fold(p, op)
-        resid = greenfn.reconstruct(fp, lin)
+        dev = greenfn.reconstructed_deviation(fp, lin)
+        resid = greenfn.reconstruct(fp, lin, dev)
         checks["reconstruction"] = _gate("relative_residual", resid, VERIFY_RECONSTRUCTION_TOL)
         if fit is not None:
-            pred = greenfn.decay_prediction(fp, lin)
+            pred = greenfn.decay_prediction(fp, lin, dev)
             rel = abs(pred - fit.c_plus) / abs(fit.c_plus) if fit.c_plus else math.inf
             checks["decay_prediction"] = {"predicted": pred, "fitted": fit.c_plus, "relative_gap": rel,
                                           "passed": rel <= VERIFY_DECAY_GAP_TOL}

@@ -118,6 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         os.path.join(out, "report.json"),
         {
             "iterations": report.iterations,
+            "evaluations": report.evaluations,
+            "restarts": report.restarts,
             "final_grad_norm": report.final_grad_norm,
             "recenter_shifts": report.recenter_shifts,
             "converged": report.converged,

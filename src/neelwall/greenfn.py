@@ -25,11 +25,13 @@ from .model import Grid, ModelParams, WallProfile
 __all__ = [
     "LinearizedOperator",
     "FoldedProfile",
+    "linearized_symbol",
     "make_linearized",
     "apply_linearized",
     "fundamental_solution",
     "convolve_green",
     "fold",
+    "reconstructed_deviation",
     "reconstruct",
     "decay_prediction",
 ]
@@ -63,13 +65,24 @@ class FoldedProfile:
     forcing: np.ndarray
 
 
-def make_linearized(params: ModelParams, grid: Grid) -> LinearizedOperator:
+def linearized_symbol(params: ModelParams, k: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """k2 + (nu/2) cos^2(theta_h) |k| + cos^2(theta_h), where k2 is k^2 or a
+    discrete second-difference eigenvalue in its place."""
+    c2 = math.cos(params.theta_h) ** 2
+    return k2 + 0.5 * params.nu * c2 * k + c2
+
+
+def make_linearized(
+    params: ModelParams, grid: Grid, lattice: HalfLaplacianOperator | None = None
+) -> LinearizedOperator:
+    """The linearized symbol on the grid's padded lattice; a given lattice
+    is reused when it belongs to the same grid."""
     if params.nu <= 0:
         raise ValueError("linearized operator requires nu > 0")
-    lattice = make_operator(grid)
+    if lattice is None or lattice.grid != grid:
+        lattice = make_operator(grid)
     k = lattice.wavenumbers
-    c2 = math.cos(params.theta_h) ** 2
-    symbol = k**2 + 0.5 * params.nu * c2 * k + c2
+    symbol = linearized_symbol(params, k, k**2)
     return LinearizedOperator(params=params, lattice=lattice, symbol=symbol)
 
 
@@ -141,7 +154,7 @@ def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfi
     return FoldedProfile(grid=grid, params=p.params, rho=rho, a=a, forcing=f)
 
 
-def _reconstructed_deviation(fp: FoldedProfile, lin: LinearizedOperator) -> np.ndarray:
+def reconstructed_deviation(fp: FoldedProfile, lin: LinearizedOperator) -> np.ndarray:
     """a G + G * f in one solve: the fold's point mass plus the weighted forcing."""
     grid = fp.grid
     s = fp.forcing * trapezoid_weights(grid.n, grid.spacing)
@@ -149,10 +162,12 @@ def _reconstructed_deviation(fp: FoldedProfile, lin: LinearizedOperator) -> np.n
     return _solve(s, lin)
 
 
-def reconstruct(fp: FoldedProfile, lin: LinearizedOperator) -> float:
+def reconstruct(fp: FoldedProfile, lin: LinearizedOperator, dev: np.ndarray | None = None) -> float:
     """Relative sup residual of rho = theta_h + a G + G * f against the
-    folded profile, over interior nodes away from the fold."""
-    dev = _reconstructed_deviation(fp, lin)
+    folded profile, over interior nodes away from the fold; dev is
+    reconstructed_deviation(fp, lin), computed here when not given."""
+    if dev is None:
+        dev = reconstructed_deviation(fp, lin)
     target = fp.rho - fp.params.theta_h
     c = fp.grid.center_index
     keep = np.ones(fp.grid.n, dtype=bool)
@@ -165,10 +180,12 @@ def reconstruct(fp: FoldedProfile, lin: LinearizedOperator) -> float:
     return resid / scale
 
 
-def decay_prediction(fp: FoldedProfile, lin: LinearizedOperator) -> float:
+def decay_prediction(fp: FoldedProfile, lin: LinearizedOperator, dev: np.ndarray | None = None) -> float:
     """Tail limit of x^2 (a G + G * f) over the window [0.5 L, 0.9 L] on
-    the right side, comparable to the fitted decay constant."""
-    dev = _reconstructed_deviation(fp, lin)
+    the right side, comparable to the fitted decay constant; dev as in
+    reconstruct."""
+    if dev is None:
+        dev = reconstructed_deviation(fp, lin)
     x = fp.grid.nodes
     hw = fp.grid.half_width
     mask = (x >= 0.5 * hw) & (x <= 0.9 * hw)

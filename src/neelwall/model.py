@@ -256,7 +256,12 @@ def load_profile(path) -> WallProfile:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError("profile file missing parameter header")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
+        fields = {}
+        for tok in header[1:].split():
+            key, sep, value = tok.partition("=")
+            if not sep:
+                raise ValueError(f"profile header token {tok!r} is not key=value")
+            fields[key] = value
         missing = [key for key in ("nu", "h", "n", "L") if key not in fields]
         if missing:
             raise ValueError(f"profile header lacks {', '.join(missing)}")

@@ -1,19 +1,27 @@
 """Energy minimization over pinned-boundary wall profiles.
 
-The minimizer is limited-memory BFGS (scipy L-BFGS-B) on the interior node
-values, driven by the fused energy and exact discrete gradient of the energy
-module. It runs in chunks and restarts with fresh memory when the line
-search stalls on the energy decrease before the gradient tolerance is met;
-the line search guarantees energy decrease across accepted iterations.
+The minimizer is limited-memory BFGS (scipy L-BFGS-B) driven by the fused
+energy and exact discrete gradient of the energy module, preconditioned by
+the linearized Hessian M. The boundary values are frozen and the center
+value is pinned at theta(0) = pi/2, so the interior splits into two
+independent Dirichlet blocks of c - 1 nodes each. On each block M, the
+second difference plus dx cos^2(theta_h) (1 + (nu/2) |k|) at the tilted
+vacuum, is diagonal in the orthonormal DST-I basis, and L-BFGS iterates on
+y with theta_block = theta_start + M^(-1/2) y. This removes the dx^-2
+condition number of the exchange term, so the iteration count does not
+grow with n.
 
-Convergence is declared on sup|gradient|/dx, which matches the continuum
-Euler-Lagrange residual scale. The translation degeneracy is removed by
-pinning theta(0) = pi/2 during the iteration: the discrete energy is flat
-along sub-grid translations, so an unpinned iterate can stop anywhere on
-the valley, and recentring it by resampling would re-inject an O(dx^2)
-gradient defect far above the default tolerance. The pin is inactive at
-the symmetric minimizer, where the full gradient vanishes anyway, and a
-short unpinned polish follows the pinned phase.
+A run stops on the acceptance quantity itself, sup|gradient|/dx <=
+grad_tol, which matches the continuum Euler-Lagrange residual scale, not on
+the energy decrease (which cannot resolve steps below ~eps E on fine
+grids). Runs are capped in chunks and restarted with fresh memory when
+they stop short. The pin removes the translation degeneracy: the discrete
+energy is flat along sub-grid translations, so an unpinned iterate can stop
+anywhere on the valley, and recentring it by resampling would re-inject an
+O(dx^2) gradient defect far above the default tolerance. The pin is
+inactive at the symmetric minimizer, where the full gradient vanishes
+anyway; if the pinned result still misses the tolerance, a short unpinned
+polish over one block of n - 2 nodes follows.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.fft import dst
 
 from . import analysis
 from .energy import energy_and_gradient
 from .errors import WindowTooNoisyError
+from .greenfn import linearized_symbol
 from .halflap import HalfLaplacianOperator, make_operator
 from .model import (
     EnergyBreakdown,
@@ -67,15 +77,32 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one minimize. iterations and evaluations are summed over
+    the L-BFGS runs (scipy's nit and nfev); restarts counts the pinned runs
+    after the first."""
+
     iterations: int
     final_energy: EnergyBreakdown
     final_grad_norm: float
     recenter_shifts: int
     converged: bool
+    evaluations: int
+    restarts: int
 
 
 def _grad_norm(g: np.ndarray, dx: float) -> float:
     return float(np.max(np.abs(g))) / dx
+
+
+def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
+    """lambda_j^(-1/2) for the linearized Hessian M of one Dirichlet block of
+    m nodes, diagonal in the orthonormal DST-I basis: the second-difference
+    eigenvalue (2 - 2 cos(j pi/(m+1)))/dx^2 in place of k^2 in the
+    linearized symbol, at k_j = j pi/((m+1) dx), times dx."""
+    j = np.arange(1, m + 1)
+    k = j * math.pi / ((m + 1) * dx)
+    k2 = (2.0 - 2.0 * np.cos(j * math.pi / (m + 1))) / dx**2
+    return (dx * linearized_symbol(params, k, k2)) ** -0.5
 
 
 def _lbfgs(
@@ -86,73 +113,95 @@ def _lbfgs(
     max_iter: int,
     grad_tol: float,
 ):
-    """One L-BFGS run of at most min(LBFGS_CHUNK, max_iter) iterations over
-    the interior values of theta; the boundary values stay frozen, and with
-    pin the center value stays at pi/2 (its gradient component is zeroed, so
-    L-BFGS never moves it)."""
+    """One preconditioned L-BFGS run of at most min(LBFGS_CHUNK, max_iter)
+    iterations; returns the new theta and scipy's result.
+
+    The boundary values stay frozen, and with pin so does the center value
+    pi/2, which splits the interior into two Dirichlet blocks. The run
+    iterates on y, with theta_block = theta_start + M^(-1/2) y for each
+    block, and stops once the last evaluated gradient at the current
+    iterate meets sup|g|/dx <= grad_tol.
+    """
     n = p.grid.n
     c = p.grid.center_index
-    bl, br = theta[0], theta[-1]
+    dx = p.grid.spacing
+    start = theta.copy()
+    if pin:
+        start[c] = 0.5 * math.pi
+        free = np.r_[1:c, c + 1 : n - 1]
+    else:
+        free = np.arange(1, n - 1)
+    blocks = 2 if pin else 1
+    scale = _block_scale(len(free) // blocks, dx, p.params)
 
-    def fg(ti: np.ndarray):
-        full = np.empty(n)
-        full[0], full[-1] = bl, br
-        full[1:-1] = ti
-        if pin:
-            full[c] = 0.5 * math.pi
-        eb, g = energy_and_gradient(p.with_theta(full), op)
-        if pin:
-            g[c] = 0.0
-        return eb.total, g[1:-1]
+    def precondition(v: np.ndarray) -> np.ndarray:
+        w = dst(v.reshape(blocks, -1), type=1, norm="ortho", axis=-1)
+        return dst(scale * w, type=1, norm="ortho", axis=-1).ravel()
 
-    return scipy.optimize.minimize(
+    def to_theta(y: np.ndarray) -> np.ndarray:
+        full = start.copy()
+        full[free] += precondition(y)
+        return full
+
+    last = {}
+
+    def fg(y: np.ndarray):
+        eb, g = energy_and_gradient(p.with_theta(to_theta(y)), op)
+        last["y"], last["g"] = y.copy(), g[free]
+        return eb.total, precondition(last["g"])
+
+    def stop(y: np.ndarray) -> None:
+        if np.array_equal(y, last["y"]) and _grad_norm(last["g"], dx) <= grad_tol:
+            raise StopIteration
+
+    res = scipy.optimize.minimize(
         fg,
-        theta[1:-1],
+        np.zeros(len(free)),
         jac=True,
         method="L-BFGS-B",
+        callback=stop,
         options=dict(
             maxiter=min(LBFGS_CHUNK, max_iter),
             maxcor=LBFGS_MEMORY,
-            gtol=grad_tol * p.grid.spacing,
+            gtol=0.0,
             ftol=1e-22,
             maxls=100,
         ),
     )
+    return to_theta(res.x), res
 
 
 def _run_lbfgs(
     p: WallProfile, op: HalfLaplacianOperator, opts: SolveOptions
-) -> tuple[WallProfile, int]:
+) -> tuple[WallProfile, int, int, int]:
     """Pinned L-BFGS runs until the gradient tolerance, max_iter or
-    MAX_RESTARTS, then one unpinned polish; returns the profile and the
-    iteration count."""
+    MAX_RESTARTS, then, if the pinned result misses the tolerance, one
+    unpinned polish; returns the profile, the iteration and evaluation
+    counts, and the number of restarts."""
     dx = p.grid.spacing
-    c = p.grid.center_index
-    total_it = 0
-    theta = p.theta.copy()
-    theta[c] = 0.5 * math.pi
-    restarts = 0
-    while total_it < opts.max_iter:
-        res = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
+    total_it = evaluations = 0
+    theta = p.theta
+    runs = 0
+    converged = False
+    while total_it < opts.max_iter and runs <= MAX_RESTARTS:
+        theta, res = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
+        runs += 1
         total_it += max(res.nit, 1)
-        theta[1:-1] = res.x
-        theta[c] = 0.5 * math.pi
+        evaluations += res.nfev
         p = p.with_theta(theta)
         _, g = energy_and_gradient(p, op)
-        if _grad_norm(g, dx) <= opts.grad_tol:
-            break
-        restarts += 1
-        if restarts > MAX_RESTARTS:
+        converged = _grad_norm(g, dx) <= opts.grad_tol
+        if converged:
             break
     # release the pin for a short polish: the pinned result sits at the
     # symmetric minimizer up to the center-node residual, and the polish
     # cannot drift along the valley because the restoring data are local
-    if total_it < opts.max_iter:
-        res = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
+    if not converged and total_it < opts.max_iter:
+        theta, res = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
         total_it += res.nit
-        theta[1:-1] = res.x
+        evaluations += res.nfev
         p = p.with_theta(theta)
-    return p, total_it
+    return p, total_it, evaluations, runs - 1
 
 
 def minimize(
@@ -171,7 +220,7 @@ def minimize(
     op = op or make_operator(p0.grid)
     p = recenter(p0)
     shifts = int(not np.array_equal(p.theta, p0.theta))
-    p, iterations = _run_lbfgs(p, op, opts)
+    p, iterations, evaluations, restarts = _run_lbfgs(p, op, opts)
     p = recenter(p)
     eb, g = energy_and_gradient(p, op)
     gnorm = _grad_norm(g, p.grid.spacing)
@@ -181,6 +230,8 @@ def minimize(
         final_grad_norm=gnorm,
         recenter_shifts=shifts,
         converged=gnorm <= opts.grad_tol,
+        evaluations=evaluations,
+        restarts=restarts,
     )
     return p, report
 

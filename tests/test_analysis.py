@@ -193,3 +193,13 @@ def test_verify_evaluates_each_field_once(solved, operators, monkeypatch):
     assert "decay_prediction" in report["checks"]
     assert len(kernel) == 1
     assert len(spectral) <= 3
+
+
+def test_verify_builds_one_lattice_and_solves_once(solved, monkeypatch):
+    p, _ = solved(1.0, 0.25)
+    lattices = _count_calls(monkeypatch, "make_operator")
+    solves = _count_calls(monkeypatch, "_solve")
+    report = verify(p)
+    assert "decay_prediction" in report["checks"]
+    assert len(lattices) == 1
+    assert len(solves) == 1

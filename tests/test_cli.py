@@ -4,10 +4,14 @@ import os
 import pytest
 
 from neelwall import (
+    decay_prediction,
+    fold,
     load_profile,
     make_initial_profile,
+    make_linearized,
     make_operator,
     path_scan,
+    reconstruct,
     recenter,
     save_profile,
     uniqueness_certificate,
@@ -39,6 +43,12 @@ def test_solve_outputs(solved_dir):
     assert report["final_grad_norm"] <= 1e-5
     energy = json.loads((solved_dir / "energy.json").read_text())
     assert energy["total"] > 0.0
+
+
+def test_solve_report_counts_evaluations_and_restarts(solved_dir):
+    report = json.loads((solved_dir / "report.json").read_text())
+    assert report["evaluations"] >= report["iterations"] >= 1
+    assert report["restarts"] == 0
 
 
 def test_solve_not_converged(tmp_path):
@@ -86,6 +96,25 @@ def test_profile_header_missing_a_key_exits_1(solved_dir, tmp_path):
     bad.write_text("# nu=1 h=0 n=17\n")
     assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_profile_header_bad_token_exits_1(solved_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# nu=1 h=0 n=17 L\n")
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
+    assert "token 'L'" in capsys.readouterr().err
+
+
+def test_verify_json_green_checks_match_separate_solves(solved_dir, tmp_path):
+    # verify shares op's lattice and one a G + G * f solve between the two
+    # Green checks; a fresh lattice and one solve per check give the same bits
+    assert run(["verify", str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    p = load_profile(solved_dir / "profile.txt")
+    fp = fold(p)
+    assert checks["reconstruction"]["relative_residual"] == reconstruct(fp, make_linearized(p.params, p.grid))
+    assert checks["decay_prediction"]["predicted"] == decay_prediction(fp, make_linearized(p.params, p.grid))
 
 
 @pytest.mark.parametrize("nu", ["1", "0"])

@@ -148,3 +148,10 @@ def test_load_profile_names_a_missing_header_key(tmp_path):
     path.write_text("# nu=1 h=0 n=17\n")
     with pytest.raises(ValueError, match="lacks L"):
         load_profile(path)
+
+
+def test_load_profile_names_a_bad_header_token(tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("# nu=1 h=0 n=17 L\n")
+    with pytest.raises(ValueError, match="token 'L' is not key=value"):
+        load_profile(path)

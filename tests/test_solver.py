@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 from neelwall import (
     NoCrossingError,
+    energy_gradient,
     make_grid,
     make_initial_profile,
+    make_operator,
     make_params,
     minimize,
 )
-from neelwall.model import ModelParams
-from neelwall.solver import SolveOptions, sweep, sweep_csv_lines
+from neelwall.model import ModelParams, WallProfile
+from neelwall.solver import SolveOptions, _block_scale, sweep, sweep_csv_lines
 
 
 def test_options_validation():
@@ -76,3 +79,39 @@ def test_sweep_energies_decrease_in_h():
     rows = sweep(params, grid, SolveOptions(grad_tol=1e-5))
     totals = [r.energy.total for r in rows]
     assert totals[0] > totals[1] > totals[2]
+
+
+@pytest.mark.parametrize("nu,h,lo,hi", [(0.0, 0.3, 1.0 - 1e-6, 1.0 + 1e-6), (10.0, 0.9, 0.8, 1.1)])
+def test_preconditioned_vacuum_hessian_is_near_identity(nu, h, lo, hi):
+    # M^(-1/2) H M^(-1/2) at the tilted vacuum, H by central differences of
+    # the exact gradient; at nu = 0 the DST-I symbol is H itself
+    grid = make_grid(257, 40.0)
+    op = make_operator(grid)
+    params = make_params(nu, h)
+    m, eps = grid.n - 2, 1e-6
+    hess = np.empty((m, m))
+    for j in range(m):
+        up = np.full(grid.n, params.theta_h)
+        down = up.copy()
+        up[j + 1] += eps
+        down[j + 1] -= eps
+        g_up = energy_gradient(WallProfile(grid, up, params), op)
+        g_down = energy_gradient(WallProfile(grid, down, params), op)
+        hess[:, j] = (g_up - g_down)[1:-1] / (2 * eps)
+    basis = dst(np.eye(m), type=1, norm="ortho", axis=0)
+    root_inv = basis @ np.diag(_block_scale(m, grid.spacing, params)) @ basis
+    eig = np.linalg.eigvalsh(root_inv @ (0.5 * (hess + hess.T)) @ root_inv)
+    assert lo <= eig.min() and eig.max() <= hi
+
+
+@pytest.mark.parametrize("n", [1025, 2049, 4097, 8193])
+def test_iterations_do_not_grow_with_n(n):
+    # the unpreconditioned solve took 220/450/909/1846 iterations here and
+    # stopped at grad 1.13e-6 at n = 8193
+    grid = make_grid(n, 40.0)
+    p0 = make_initial_profile(grid, make_params(1.0, 0.25))
+    _, report = minimize(p0)
+    assert report.converged and report.final_grad_norm <= 1e-6
+    assert report.iterations < 50
+    assert report.evaluations >= report.iterations
+    assert report.restarts == 0
