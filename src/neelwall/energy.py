@@ -31,6 +31,7 @@ __all__ = [
     "el_residual",
     "energy_gradient",
     "energy_and_gradient",
+    "energy_parts",
     "trapezoid_weights",
 ]
 
@@ -52,8 +53,6 @@ def energy_and_gradient(
     h, nu = p.params.h, p.params.nu
     sin, cos = np.sin(theta), np.cos(theta)
     u = sin - h
-    exchange = 0.5 * float(np.sum(np.diff(theta) ** 2)) / dx
-    potential = 0.5 * float(np.dot(trapezoid_weights(p.grid.n, dx), u * u))
     g = np.zeros_like(theta)
     g[1:-1] = (2.0 * theta[1:-1] - theta[2:] - theta[:-2]) / dx
     g[1:-1] += (u * cos)[1:-1] * dx
@@ -61,13 +60,22 @@ def energy_and_gradient(
     if nu > 0:
         stray = 0.25 * nu * pairing(op, u, u)
         g[1:-1] += 0.5 * nu * (cos * apply_spectral(op, u))[1:-1] * dx
-    eb = EnergyBreakdown(
+    return energy_parts(theta, u, dx, stray), g
+
+
+def energy_parts(
+    theta: np.ndarray, u: np.ndarray, dx: float, stray: float
+) -> EnergyBreakdown:
+    """The breakdown of the discrete energy of theta, u = sin theta - h,
+    given its stray part (nu/4) pairing(u, u)."""
+    exchange = 0.5 * float(np.sum(np.diff(theta) ** 2)) / dx
+    potential = 0.5 * float(np.dot(trapezoid_weights(len(theta), dx), u * u))
+    return EnergyBreakdown(
         exchange=exchange,
         potential=potential,
         stray=stray,
         total=exchange + potential + stray,
     )
-    return eb, g
 
 
 def energy(p: WallProfile, op: HalfLaplacianOperator) -> EnergyBreakdown:

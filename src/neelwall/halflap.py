@@ -3,11 +3,15 @@
 The workhorse is a zero-padded FFT with multiplier |k| on one lattice per
 grid, HalfLaplacianOperator, which alone chooses the padded length, pads,
 crops and holds |k|; the linearized operator in greenfn works on the same
-lattice. The cross-check is a principal-value singular integral split at a
-scale delta, with the inner part written as a symmetrized second difference
-(removable singularity) and the outer part closed in form beyond the grid
-using the constant extension of the input. A double-integral H^(1/2)
-seminorm oracle is provided for the pairing.
+lattice. The stray-field form pairing(u, w) is the Parseval sum (parseval)
+of the two padded-lattice spectra (spectrum); callers that combine spectra
+linearly, like the path scan, use the same summation. The cross-check is a
+principal-value singular integral split at a scale delta, with the inner
+part written as a symmetrized second difference (removable singularity) and
+the outer part closed in form beyond the grid using the constant extension
+of the input. The H^(1/2) seminorm oracle for the pairing is a double-
+trapezoid sum of the real-space kernel 1/(x-y)^2, evaluated as Toeplitz
+products in O(n log n); it does not use the padded lattice or |k|.
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 
 from .errors import TailTooLargeError
 from .model import Grid
@@ -28,6 +33,8 @@ __all__ = [
     "make_operator",
     "apply_spectral",
     "apply_quadrature",
+    "spectrum",
+    "parseval",
     "pairing",
     "seminorm_double_integral",
     "default_delta",
@@ -37,8 +44,6 @@ __all__ = [
 # the periodic images of the c/x^2 wall tails out of the window.
 PAD_FACTOR = 4
 TAIL_TOL = 1e-2
-# Rows of the seminorm oracle's n x n integrand held in memory at once.
-SEMINORM_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def make_operator(grid: Grid) -> HalfLaplacianOperator:
     return HalfLaplacianOperator(grid=grid, padded_len=padded_len, wavenumbers=k)
 
 
-def _spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
+def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Real-FFT spectrum of u on the padded lattice.
 
     The mean of the two end values is subtracted before padding so that
@@ -99,8 +104,7 @@ def _spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
 
 def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Half-Laplacian by zero-padded FFT with multiplier |k|."""
-    spectrum = _spectrum(op, u) * op.wavenumbers
-    return op.crop(np.fft.irfft(spectrum, op.padded_len))
+    return op.crop(np.fft.irfft(spectrum(op, u) * op.wavenumbers, op.padded_len))
 
 
 def default_delta(nu: float) -> float:
@@ -162,46 +166,53 @@ def apply_quadrature(
     return (inner_term + outer_term + tails) / math.pi
 
 
-def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
-    """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx.
-
-    Evaluated in the frequency domain (Parseval) on the padded lattice, which
-    makes the form exactly symmetric; pairing(op, u, u) transforms once.
-    """
-    su = _spectrum(op, u)
-    sw = su if w is u else _spectrum(op, w)
-    # sum over the full lattice from its real-FFT half
+def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
+    """The pairing of two padded-lattice spectra: dx/N sum |k| Re(su conj(sw))
+    over the full lattice, summed from its real-FFT half."""
     terms = op.wavenumbers * np.real(su * np.conj(sw))
     total = terms[0] + 2.0 * np.sum(terms[1:-1])
     total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
     return float(total) * op.grid.spacing / op.padded_len
 
 
+def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
+    """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx.
+
+    Evaluated in the frequency domain (Parseval) on the padded lattice, which
+    makes the form exactly symmetric; pairing(op, u, u) transforms once.
+    """
+    su = spectrum(op, u)
+    sw = su if w is u else spectrum(op, w)
+    return parseval(op, su, sw)
+
+
 def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     """Independent H^(1/2) seminorm oracle.
 
-    (1/2pi) iint (u(x)-u(y))^2 / (x-y)^2 dx dy by direct double trapezoid
-    quadrature, with the same zero extension of u - end_mean beyond the grid
-    as the spectral route (closed-form single-tail terms; the corner terms
-    vanish for the zero extension).
+    (1/2pi) iint (u(x)-u(y))^2 / (x-y)^2 dx dy by double trapezoid
+    quadrature in real space: kernel 1/(x-y)^2 off the diagonal, u'(x)^2 on
+    it, and the same zero extension of v = u - end_mean beyond the grid as
+    the spectral route (closed-form single-tail terms shifted by dx/2; the
+    corner terms vanish for the zero extension). With weights w and the
+    symmetric Toeplitz matrix K_ij = 1/((i-j)dx)^2 (zero diagonal), the
+    off-diagonal part of the sum is 2 w.(v^2 Kw) - 2 (wv).(K(wv)); both
+    Toeplitz products come from one matmul_toeplitz call, O(n log n). The
+    padded lattice and its |k| are not used.
     """
     u = np.asarray(u, dtype=float)
     n, dx, L = grid.n, grid.spacing, grid.half_width
     x = grid.nodes
     v = u - 0.5 * (u[0] + u[-1])
-    # diagonal: limit is u'(x)^2
-    du2 = np.gradient(v, dx) ** 2
     wt = np.full(n, dx)
     wt[0] = wt[-1] = 0.5 * dx
-    # wt @ integrand, accumulated over row blocks of the n x n integrand
-    col_sums = np.zeros(n)
-    for start in range(0, n, SEMINORM_BLOCK_ROWS):
-        rows = np.arange(start, min(start + SEMINORM_BLOCK_ROWS, n))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block = ((v[rows, None] - v[None, :]) / (x[rows, None] - x[None, :])) ** 2
-        block[rows - start, rows] = du2[rows]
-        col_sums += wt[rows] @ block
-    core = float(col_sums @ wt)
+    # diagonal: limit is u'(x)^2
+    diagonal = float(np.dot(wt * wt, np.gradient(v, dx) ** 2))
+    kernel = np.zeros(n)
+    kernel[1:] = 1.0 / (np.arange(1, n) * dx) ** 2
+    wv = wt * v
+    k_w, k_wv = scipy.linalg.matmul_toeplitz(kernel, np.column_stack((wt, wv))).T
+    off_diagonal = 2.0 * float(np.dot(wv * v, k_w)) - 2.0 * float(np.dot(wv, k_wv))
+    core = diagonal + off_diagonal
     # tails: for each x in the window, int over |y| > L of v(x)^2/(x-y)^2 dy
     tail_density = v**2 * (1.0 / (L - x + 0.5 * dx) + 1.0 / (L + x + 0.5 * dx))
     # shift ends by dx/2 to avoid the double-counted corner at x = +/-L

@@ -7,6 +7,12 @@ its first and second t-derivatives are computed exactly for the discrete
 energy, so finite differences of f reproduce them to roundoff. Strict
 convexity plus vanishing endpoint derivatives certifies that two solutions
 coincide.
+
+u^t = sin theta^t - h = t u_1 + (1 - t) u_2 is linear in t, so a scan
+takes three real FFTs on the padded lattice, whatever its number of t
+points: the spectra of u_1, u_2 and du = u_1 - u_2. Every stray term of f,
+f' and f'' is a Parseval sum of their linear combinations, and theta^t
+takes one arcsin per t.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy, trapezoid_weights
+from .energy import energy_parts, trapezoid_weights
 from .errors import NotRecentredError, RangeViolationError
-from .halflap import HalfLaplacianOperator, make_operator, pairing
-from .model import WallProfile
+from .halflap import HalfLaplacianOperator, make_operator, parseval, spectrum
+from .model import Grid, WallProfile
 
 __all__ = [
     "PathPoint",
@@ -82,23 +88,18 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
             )
 
 
-def _mix_sin(p1: WallProfile, p2: WallProfile, t: float) -> np.ndarray:
-    s = t * np.sin(p1.theta) + (1.0 - t) * np.sin(p2.theta)
+def _path_theta(grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float) -> np.ndarray:
+    """theta^t from the mixed sine t sin1 + (1-t) sin2, branch pi - arcsin
+    on x < 0, with the center node pinned at pi/2."""
+    s = t * sin1 + (1.0 - t) * sin2
     excess = float(np.max(np.abs(s))) - 1.0
     if excess > CLAMP_SLACK:
         raise RangeViolationError(
             f"interpolated sine exceeds 1 by {excess:.3g}; inputs out of range"
         )
-    return np.clip(s, -1.0, 1.0)
-
-
-def _path_theta(p1: WallProfile, p2: WallProfile, t: float) -> np.ndarray:
-    """theta^t from the mixed sine, branch pi - arcsin on x < 0, with the
-    center node pinned at pi/2."""
-    s = _mix_sin(p1, p2, t)
-    arcsin = np.arcsin(s)
-    theta = np.where(p1.grid.nodes >= 0.0, arcsin, math.pi - arcsin)
-    theta[p1.grid.center_index] = math.pi / 2.0
+    arcsin = np.arcsin(np.clip(s, -1.0, 1.0))
+    theta = np.where(grid.nodes >= 0.0, arcsin, math.pi - arcsin)
+    theta[grid.center_index] = math.pi / 2.0
     return theta
 
 
@@ -110,59 +111,86 @@ def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProf
         return p1.with_theta(p1.theta.copy())
     if t == 0.0:
         return p2.with_theta(p2.theta.copy())
-    return p1.with_theta(_path_theta(p1, p2, t))
+    return p1.with_theta(_path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t))
 
 
 def _nodal_t_derivatives(
-    p1: WallProfile, p2: WallProfile, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """theta^t and its pointwise first and second t-derivatives; exact for
-    the discrete path, zero at the pinned center node."""
-    c = p1.grid.center_index
-    theta_t = _path_theta(p1, p2, t)
+    grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """theta^t, sin theta^t and the pointwise first and second
+    t-derivatives of theta^t; exact for the discrete path, zero at the
+    pinned center node."""
+    c = grid.center_index
+    theta_t = _path_theta(grid, sin1, sin2, t)
+    sin_t = np.sin(theta_t)
     cs = np.cos(theta_t)
     cs[c] = 1.0
-    d = np.sin(p1.theta) - np.sin(p2.theta)
+    d = sin1 - sin2
     dt1 = d / cs
-    dt2 = d**2 * np.sin(theta_t) / cs**3
+    dt2 = d**2 * sin_t / cs**3
     dt1[c] = 0.0
     dt2[c] = 0.0
-    return theta_t, dt1, dt2
+    return theta_t, sin_t, dt1, dt2
 
 
-def _path_derivatives_at(
-    p1: WallProfile,
-    p2: WallProfile,
-    t: float,
-    op: HalfLaplacianOperator,
-) -> tuple[float, float]:
-    """Exact (f'(t), f''(t)) for the discrete energy along the path."""
-    grid = p1.grid
-    dx = grid.spacing
-    nu, h = p1.params.nu, p1.params.h
-    theta_t, dt1, dt2 = _nodal_t_derivatives(p1, p2, t)
-    w = trapezoid_weights(grid.n, dx)
+class _Path:
+    """The arcsin path from p2 (t = 0) to p1 (t = 1) and the exact discrete
+    energy f(t) with its first two t-derivatives.
 
-    # exchange: (1/2dx) sum (forward difference)^2, differentiated in t
-    dth = np.diff(theta_t)
-    ddt1 = np.diff(dt1)
-    ddt2 = np.diff(dt2)
-    ex_p = float(np.dot(dth, ddt1)) / dx
-    ex_pp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx
+    u^t = t u_1 + (1-t) u_2 is linear in t, so every stray term comes from
+    three padded-lattice spectra taken once: s_1, s_2 and s_d, the spectrum
+    of du = u_1 - u_2 itself (s_1 - s_2 would cancel the digits of f'' when
+    the profiles nearly coincide). At each t, s^t = t s_1 + (1-t) s_2 and
+    f, f', f'' use parseval(s^t, s^t), parseval(s^t, s_d) and
+    parseval(s_d, s_d). At t = 0 and 1, f is the energy of the input
+    profile itself, bit for bit.
+    """
 
-    # potential and stray: u^t = t u1 + (1-t) u2 is linear in t
-    u1 = np.sin(p1.theta) - h
-    u2 = np.sin(p2.theta) - h
-    ut = t * u1 + (1.0 - t) * u2
-    du = u1 - u2
-    pot_p = float(np.dot(w, ut * du))
-    pot_pp = float(np.dot(w, du * du))
-    if nu > 0:
-        st_p = (nu / 2.0) * pairing(op, ut, du)
-        st_pp = (nu / 2.0) * pairing(op, du, du)
-    else:
-        st_p = st_pp = 0.0
-    return ex_p + pot_p + st_p, ex_pp + pot_pp + st_pp
+    def __init__(self, p1: WallProfile, p2: WallProfile, op: HalfLaplacianOperator):
+        self.p1, self.p2, self.op = p1, p2, op
+        self.grid = p1.grid
+        self.nu, h = p1.params.nu, p1.params.h
+        self.sin1, self.sin2 = np.sin(p1.theta), np.sin(p2.theta)
+        self.u1, self.u2 = self.sin1 - h, self.sin2 - h
+        self.du = self.u1 - self.u2
+        self.w = trapezoid_weights(self.grid.n, self.grid.spacing)
+        if self.nu > 0:
+            self.s1, self.s2, self.sd = (spectrum(op, u) for u in (self.u1, self.u2, self.du))
+            self.q_dd = parseval(op, self.sd, self.sd)
+
+    def point(self, t: float) -> tuple[float, float, float]:
+        """(f(t), f'(t), f''(t))."""
+        dx = self.grid.spacing
+        nu, op = self.nu, self.op
+        theta_t, sin_t, dt1, dt2 = _nodal_t_derivatives(self.grid, self.sin1, self.sin2, t)
+
+        # energy: the inputs themselves at the ends, theta^t inside
+        if t == 1.0:
+            theta_f, u_f = self.p1.theta, self.u1
+        elif t == 0.0:
+            theta_f, u_f = self.p2.theta, self.u2
+        else:
+            theta_f, u_f = theta_t, sin_t - self.p1.params.h
+        stray = st_p = st_pp = 0.0
+        if nu > 0:
+            s_t = t * self.s1 + (1.0 - t) * self.s2
+            stray = 0.25 * nu * parseval(op, s_t, s_t)
+            st_p = (nu / 2.0) * parseval(op, s_t, self.sd)
+            st_pp = (nu / 2.0) * self.q_dd
+        f = energy_parts(theta_f, u_f, dx, stray).total
+
+        # exchange: (1/2dx) sum (forward difference)^2, differentiated in t
+        dth = np.diff(theta_t)
+        ddt1 = np.diff(dt1)
+        ddt2 = np.diff(dt2)
+        ex_p = float(np.dot(dth, ddt1)) / dx
+        ex_pp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx
+
+        # potential: 1/2 sum w (u^t)^2 with u^t linear in t
+        ut = t * self.u1 + (1.0 - t) * self.u2
+        pot_p = float(np.dot(self.w, ut * self.du))
+        pot_pp = float(np.dot(self.w, self.du * self.du))
+        return f, ex_p + pot_p + st_p, ex_pp + pot_pp + st_pp
 
 
 def path_scan(
@@ -176,7 +204,8 @@ def path_scan(
     f_second_fd is the 5-point central difference of f, defined on a
     uniform grid at indices with two neighbors on each side (nan
     elsewhere); f_second_analytic comes from differentiating the discrete
-    energy in t, so the two agree to roundoff.
+    energy in t, so the two agree to roundoff. With nu > 0 the whole scan
+    takes three real FFTs and no inverse one.
     """
     _require_pair(p1, p2)
     if t_grid is None:
@@ -184,13 +213,8 @@ def path_scan(
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > 1.0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted within [0, 1]")
-    op = op or make_operator(p1.grid)
-    fs = np.empty(len(t_grid))
-    fps = np.empty(len(t_grid))
-    fpps = np.empty(len(t_grid))
-    for j, t in enumerate(t_grid):
-        fs[j] = energy(interpolate_profiles(p1, p2, float(t)), op).total
-        fps[j], fpps[j] = _path_derivatives_at(p1, p2, float(t), op)
+    path = _Path(p1, p2, op or make_operator(p1.grid))
+    fs, fps, fpps = np.array([path.point(float(t)) for t in t_grid]).reshape(-1, 3).T
     fd = np.full(len(t_grid), math.nan)
     if len(t_grid) >= 5:
         dt = np.diff(t_grid)
@@ -207,7 +231,7 @@ def path_scan(
 
 def path_velocity_norm(p1: WallProfile, p2: WallProfile, t: float) -> float:
     """L2 norm of the pointwise path velocity theta^t_t."""
-    _, dt1, _ = _nodal_t_derivatives(p1, p2, t)
+    _, _, dt1, _ = _nodal_t_derivatives(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)
     w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
     return math.sqrt(float(np.dot(w, dt1 * dt1)))
 
@@ -223,9 +247,7 @@ def stationarity_defect(
     bounded away from zero.
     """
     _require_pair(p_candidate, p_other)
-    op = op or make_operator(p_candidate.grid)
-    fp, _ = _path_derivatives_at(p_candidate, p_other, 1.0, op)
-    return fp
+    return _Path(p_candidate, p_other, op or make_operator(p_candidate.grid)).point(1.0)[1]
 
 
 def uniqueness_certificate(

@@ -12,6 +12,8 @@ from neelwall import (
     pairing,
     seminorm_double_integral,
 )
+from neelwall.cli import _oracle_corpus
+from neelwall.energy import trapezoid_weights
 from neelwall.halflap import default_delta
 
 
@@ -88,3 +90,49 @@ def test_tail_guard():
     # a function far from flat at the ends violates the decay contract
     with pytest.raises(TailTooLargeError):
         apply_spectral(op, grid.nodes.copy())
+
+
+def _seminorm_block_sum(u, grid, block_rows=256):
+    """The seminorm oracle's double trapezoid sum taken entry by entry over
+    the n x n integrand, in row blocks: the reference for the Toeplitz
+    evaluation."""
+    n, dx, L = grid.n, grid.spacing, grid.half_width
+    x = grid.nodes
+    v = u - 0.5 * (u[0] + u[-1])
+    du2 = np.gradient(v, dx) ** 2
+    wt = np.full(n, dx)
+    wt[0] = wt[-1] = 0.5 * dx
+    col_sums = np.zeros(n)
+    for start in range(0, n, block_rows):
+        rows = np.arange(start, min(start + block_rows, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = ((v[rows, None] - v[None, :]) / (x[rows, None] - x[None, :])) ** 2
+        block[rows - start, rows] = du2[rows]
+        col_sums += wt[rows] @ block
+    tail_density = v**2 * (1.0 / (L - x + 0.5 * dx) + 1.0 / (L + x + 0.5 * dx))
+    return (float(col_sums @ wt) + 2.0 * float(np.dot(wt, tail_density))) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [257, 1025, 4097])
+def test_seminorm_matches_block_sum(n, solved):
+    grid = make_grid(n, 40.0)
+    wall, _ = solved(1.0, 0.25, n=n)
+    cases = _oracle_corpus(grid) + [("wall", np.sin(wall.theta) - 0.25)]
+    for name, u in cases:
+        ref = _seminorm_block_sum(u, grid)
+        assert abs(seminorm_double_integral(u, grid) - ref) <= 1e-11 * ref, name
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+def test_seminorm_gap_is_the_periodic_image_bias(n):
+    # pairing is the seminorm of the periodized input on the padded lattice
+    # of length P; the images shift it by -pi (int v)^2 / (3 P^2). What is
+    # left is the oracle's own O(dx) quadrature error.
+    grid = make_grid(n, 40.0)
+    op = make_operator(grid)
+    period = op.padded_len * grid.spacing
+    for name, u in _oracle_corpus(grid):
+        v = u - 0.5 * (u[0] + u[-1])
+        bias = -math.pi * float(np.dot(trapezoid_weights(n, grid.spacing), v)) ** 2 / (3 * period**2)
+        qd = seminorm_double_integral(u, grid)
+        assert abs(pairing(op, u, u) - bias - qd) / qd <= 1.5e-5, name

@@ -12,11 +12,13 @@ from neelwall import (
     make_initial_profile,
     make_operator,
     make_params,
+    pairing,
     path_scan,
     recenter,
     stationarity_defect,
     uniqueness_certificate,
 )
+from neelwall.energy import trapezoid_weights
 from neelwall.path import path_velocity_norm
 
 
@@ -78,8 +80,9 @@ def test_scan_endpoint_energies(pair, operators):
     p1, p2 = pair
     _, op = operators()
     pts = path_scan(p1, p2, t_grid=np.linspace(0, 1, 11), op=op)
-    assert pts[0].f == pytest.approx(energy(p2, op).total, rel=1e-14)
-    assert pts[-1].f == pytest.approx(energy(p1, op).total, rel=1e-14)
+    # bit for bit: the ends are the input profiles, not their arcsin images
+    assert pts[0].f == energy(p2, op).total
+    assert pts[-1].f == energy(p1, op).total
 
 
 def test_scan_convexity_and_fd_consistency(pair, operators):
@@ -156,3 +159,80 @@ def test_certificate_rejects_non_solution_pair(solved, operators):
     kink = recenter(make_initial_profile(grid, make_params(1.0, 0.3), kind="kink", width=2.0))
     v = uniqueness_certificate(p, kink, op=op)
     assert v.verdict == "NOT_BOTH_SOLUTIONS"
+
+
+def _kink_pair(nu, n=513):
+    grid = make_grid(n, 40.0)
+    params = make_params(nu, 0.3)
+    return (
+        recenter(make_initial_profile(grid, params, kind="kink", width=1.0)),
+        recenter(make_initial_profile(grid, params, kind="kink", width=2.0)),
+    )
+
+
+@pytest.fixture(scope="module")
+def solution_pair(solved):
+    p1, _ = solved(1.0, 0.3)
+    p2, _ = solved(1.0, 0.3, kind="perturbed", width=2.0, seed=0)
+    return p1, p2
+
+
+@pytest.mark.parametrize("nu, rffts", [(1.0, 3), (0.0, 0)])
+def test_scan_transforms_u_three_times(nu, rffts, operators, monkeypatch):
+    p1, p2 = _kink_pair(nu)
+    _, op = operators()
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    pts = path_scan(p1, p2, op=op)
+    assert len(pts) == 41
+    assert calls == {"rfft": rffts, "irfft": 0}
+
+
+def _per_t_reference(p1, p2, t, op):
+    """f, f', f'' at one t from an energy evaluation of theta^t and two
+    pairings of u^t, the way the scan computed them one t at a time."""
+    grid, dx, c = p1.grid, p1.grid.spacing, p1.grid.center_index
+    nu, h = p1.params.nu, p1.params.h
+    f = energy(interpolate_profiles(p1, p2, t), op).total
+    s = np.clip(t * np.sin(p1.theta) + (1 - t) * np.sin(p2.theta), -1.0, 1.0)
+    theta = np.where(grid.nodes >= 0.0, np.arcsin(s), math.pi - np.arcsin(s))
+    theta[c] = math.pi / 2
+    cs = np.cos(theta)
+    cs[c] = 1.0
+    d = np.sin(p1.theta) - np.sin(p2.theta)
+    dt1, dt2 = d / cs, d**2 * np.sin(theta) / cs**3
+    dt1[c] = dt2[c] = 0.0
+    dth, ddt1, ddt2 = np.diff(theta), np.diff(dt1), np.diff(dt2)
+    u1, u2 = np.sin(p1.theta) - h, np.sin(p2.theta) - h
+    ut, du = t * u1 + (1 - t) * u2, u1 - u2
+    w = trapezoid_weights(grid.n, dx)
+    fp = float(np.dot(dth, ddt1)) / dx + float(np.dot(w, ut * du))
+    fpp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx + float(np.dot(w, du * du))
+    if nu > 0:
+        fp += (nu / 2) * pairing(op, ut, du)
+        fpp += (nu / 2) * pairing(op, du, du)
+    return f, fp, fpp
+
+
+@pytest.mark.parametrize("which", ["solutions", "kinks"])
+def test_scan_matches_per_t_formulas(which, solution_pair, operators):
+    p1, p2 = solution_pair if which == "solutions" else _kink_pair(1.0)
+    _, op = operators()
+    ts = np.linspace(0.0, 1.0, 41)
+    pts = path_scan(p1, p2, t_grid=ts, op=op)
+    ref = np.array([_per_t_reference(p1, p2, float(t), op) for t in ts])
+    f, fp, fpp = (np.array([getattr(pt, k) for pt in pts]) for k in ("f", "f_prime", "f_second_analytic"))
+    assert np.max(np.abs(f - ref[:, 0]) / np.abs(ref[:, 0])) <= 1e-14
+    # u^t's spectrum is combined from s_1 and s_2, so f' moves by roundoff of the pairing
+    assert np.max(np.abs(fp - ref[:, 1])) <= 1e-18 + 1e-14 * np.max(np.abs(fp))
+    assert np.max(np.abs(fpp - ref[:, 2]) / np.abs(ref[:, 2])) <= 1e-14
+    fs = ref[:, 0]
+    fd = (-fs[:-4] + 16 * fs[1:-3] - 30 * fs[2:-2] + 16 * fs[3:-1] - fs[4:]) / (12 * (ts[1] - ts[0]) ** 2)
+    assert np.max(np.abs(np.array([pt.f_second_fd for pt in pts])[2:-2] - fd)) <= 1e-11
