@@ -10,6 +10,7 @@ contradiction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -248,7 +249,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out-dir", dest="out_dir")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. Subcommands are
+    dispatched by name in main, so the parser holds no command function."""
     parser = argparse.ArgumentParser(
         prog="neelwall",
         description="Neel wall profile solver and verification toolkit",
@@ -257,28 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="minimize the wall energy and save the profile")
     _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("verify", help="run structural checks on a saved profile")
     sp.add_argument("profile", help="profile file written by solve")
     _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("path", help="convexity certificate between two profiles")
     sp.add_argument("profile_a")
     sp.add_argument("profile_b")
     _add_common(sp)
-    sp.set_defaults(func=cmd_path)
 
     sp = sub.add_parser("sweep", help="solve over a grid of (nu, h) values")
     sp.add_argument("--nu-list", default="0.5,1,2,4")
     sp.add_argument("--h-list", default="0,0.25,0.5,0.75")
     _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("oracle", help="operator and seminorm cross-validation suite")
     _add_common(sp)
-    sp.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -289,8 +288,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
+    # read from the module at call time, so a rebound cmd_* is the one run
+    commands = {
+        "solve": cmd_solve,
+        "verify": cmd_verify,
+        "path": cmd_path,
+        "sweep": cmd_sweep,
+        "oracle": cmd_oracle,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (NeelWallError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -177,29 +177,26 @@ def make_initial_profile(
 
 
 def _crossing_locations(x: np.ndarray, z: np.ndarray) -> list[float]:
-    """Locations where z changes sign (z = theta - pi/2), by linear
-    interpolation; a zero at a node counts as a crossing at that node."""
-    locs: list[float] = []
-    i = 0
-    n = len(z)
-    while i < n:
-        if z[i] == 0.0:
-            j = i
-            while j + 1 < n and z[j + 1] == 0.0:
-                j += 1
-            locs.append(0.5 * (x[i] + x[j]))
-            i = j + 1
-            continue
-        if i + 1 < n and z[i] * z[i + 1] < 0.0:
-            s = x[i] + (x[i + 1] - x[i]) * z[i] / (z[i] - z[i + 1])
-            locs.append(s)
-        i += 1
-    return locs
+    """Locations where z changes sign (z = theta - pi/2), in node order.
+
+    A sign change between nodes i and i+1 (z_i z_{i+1} < 0, so a product
+    that underflows to 0 is not one) is placed by linear interpolation. A
+    run of exact zeros from node i to node j counts as one crossing at
+    0.5 (x_i + x_j), a single zero node as a crossing at that node.
+    """
+    i = np.flatnonzero(z[:-1] * z[1:] < 0.0)
+    signs = x[i] + (x[i + 1] - x[i]) * z[i] / (z[i] - z[i + 1])
+    edges = np.diff((z == 0.0).astype(np.int8), prepend=0, append=0)
+    first, last = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    zeros = 0.5 * (x[first] + x[last])
+    order = np.argsort(np.concatenate((i, first)), kind="stable")
+    return np.concatenate((signs, zeros))[order].tolist()
 
 
 def recenter(p: WallProfile) -> WallProfile:
     """Translate the profile so theta(0) = pi/2, by linear-interpolation
-    resampling with constant extension at the exposed edge."""
+    resampling with constant extension at the exposed edge. The end values
+    theta(-L) and theta(L) are Dirichlet data and keep their input values."""
     x = p.grid.nodes
     z = p.theta - 0.5 * math.pi
     locs = _crossing_locations(x, z)
@@ -213,6 +210,7 @@ def recenter(p: WallProfile) -> WallProfile:
     if shift == 0.0:
         return p
     theta = np.interp(x + shift, x, p.theta, left=p.theta[0], right=p.theta[-1])
+    theta[0], theta[-1] = p.theta[0], p.theta[-1]
     return p.with_theta(theta)
 
 
@@ -243,10 +241,9 @@ def save_profile(path, p: WallProfile) -> None:
     bit exact.
     """
     g, m = p.grid, p.params
-    lines = [f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"]
-    for xi, ti in zip(g.nodes, p.theta):
-        lines.append(f"{xi:.17g} {ti:.17g}\n")
-    write_text_atomic(path, "".join(lines))
+    header = f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"
+    rows = ("%.17g %.17g\n" * g.n) % tuple(np.column_stack((g.nodes, p.theta)).ravel().tolist())
+    write_text_atomic(path, header + rows)
 
 
 def load_profile(path) -> WallProfile:

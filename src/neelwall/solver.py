@@ -6,10 +6,14 @@ the linearized Hessian M. The boundary values are frozen and the center
 value is pinned at theta(0) = pi/2, so the interior splits into two
 independent Dirichlet blocks of c - 1 nodes each. On each block M, the
 second difference plus dx cos^2(theta_h) (1 + (nu/2) |k|) at the tilted
-vacuum, is diagonal in the orthonormal DST-I basis, and L-BFGS iterates on
-y with theta_block = theta_start + M^(-1/2) y. This removes the dx^-2
-condition number of the exchange term, so the iteration count does not
-grow with n.
+vacuum, is diagonal in the orthonormal DST-I basis D with eigenvalues
+lambda, and L-BFGS iterates on the coefficients z with theta_block =
+theta_start + D(lambda^(-1/2) z), whose gradient is lambda^(-1/2) D g. This
+removes the dx^-2 condition number of the exchange term, so the iteration
+count does not grow with n, and it costs 2 DSTs and one evaluation per
+L-BFGS function call. The last evaluation of a run is handed on to the
+convergence check and, when the final recentring leaves the profile as it
+is, to the report, so nothing is evaluated twice.
 
 A run stops on the acceptance quantity itself, sup|gradient|/dx <=
 grad_tol, which matches the continuum Euler-Lagrange residual scale, not on
@@ -114,13 +118,15 @@ def _lbfgs(
     grad_tol: float,
 ):
     """One preconditioned L-BFGS run of at most min(LBFGS_CHUNK, max_iter)
-    iterations; returns the new theta and scipy's result.
+    iterations; returns the new theta, scipy's result, and the energy
+    breakdown and full gradient at the new theta when the run evaluated
+    them there last (None otherwise).
 
     The boundary values stay frozen, and with pin so does the center value
     pi/2, which splits the interior into two Dirichlet blocks. The run
-    iterates on y, with theta_block = theta_start + M^(-1/2) y for each
-    block, and stops once the last evaluated gradient at the current
-    iterate meets sup|g|/dx <= grad_tol.
+    iterates on the DST-I coefficients z of each block, with theta_block =
+    theta_start + D(lambda^(-1/2) z), and stops once the last evaluated
+    gradient at the current iterate meets sup|g|/dx <= grad_tol.
     """
     n = p.grid.n
     c = p.grid.center_index
@@ -134,24 +140,22 @@ def _lbfgs(
     blocks = 2 if pin else 1
     scale = _block_scale(len(free) // blocks, dx, p.params)
 
-    def precondition(v: np.ndarray) -> np.ndarray:
-        w = dst(v.reshape(blocks, -1), type=1, norm="ortho", axis=-1)
-        return dst(scale * w, type=1, norm="ortho", axis=-1).ravel()
-
-    def to_theta(y: np.ndarray) -> np.ndarray:
+    def to_theta(z: np.ndarray) -> np.ndarray:
         full = start.copy()
-        full[free] += precondition(y)
+        full[free] += dst(scale * z.reshape(blocks, -1), type=1, norm="ortho", axis=-1).ravel()
         return full
 
     last = {}
 
-    def fg(y: np.ndarray):
-        eb, g = energy_and_gradient(p.with_theta(to_theta(y)), op)
-        last["y"], last["g"] = y.copy(), g[free]
-        return eb.total, precondition(last["g"])
+    def fg(z: np.ndarray):
+        theta = to_theta(z)
+        eb, g = energy_and_gradient(p.with_theta(theta), op)
+        last.update(z=z.copy(), theta=theta, eb=eb, g=g)
+        gz = scale * dst(g[free].reshape(blocks, -1), type=1, norm="ortho", axis=-1)
+        return eb.total, gz.ravel()
 
-    def stop(y: np.ndarray) -> None:
-        if np.array_equal(y, last["y"]) and _grad_norm(last["g"], dx) <= grad_tol:
+    def stop(z: np.ndarray) -> None:
+        if np.array_equal(z, last["z"]) and _grad_norm(last["g"][free], dx) <= grad_tol:
             raise StopIteration
 
     res = scipy.optimize.minimize(
@@ -168,40 +172,44 @@ def _lbfgs(
             maxls=100,
         ),
     )
-    return to_theta(res.x), res
+    if np.array_equal(res.x, last.get("z")):
+        return last["theta"], res, (last["eb"], last["g"])
+    return to_theta(res.x), res, None
 
 
 def _run_lbfgs(
     p: WallProfile, op: HalfLaplacianOperator, opts: SolveOptions
-) -> tuple[WallProfile, int, int, int]:
+) -> tuple[WallProfile, tuple[EnergyBreakdown, np.ndarray] | None, int, int, int]:
     """Pinned L-BFGS runs until the gradient tolerance, max_iter or
     MAX_RESTARTS, then, if the pinned result misses the tolerance, one
-    unpinned polish; returns the profile, the iteration and evaluation
-    counts, and the number of restarts."""
+    unpinned polish; returns the profile, its energy breakdown and gradient
+    when the last run evaluated them (None otherwise), the iteration and
+    evaluation counts, and the number of restarts."""
     dx = p.grid.spacing
     total_it = evaluations = 0
     theta = p.theta
     runs = 0
     converged = False
     while total_it < opts.max_iter and runs <= MAX_RESTARTS:
-        theta, res = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
+        theta, res, final = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
         runs += 1
         total_it += max(res.nit, 1)
         evaluations += res.nfev
         p = p.with_theta(theta)
-        _, g = energy_and_gradient(p, op)
-        converged = _grad_norm(g, dx) <= opts.grad_tol
+        if final is None:
+            final = energy_and_gradient(p, op)
+        converged = _grad_norm(final[1], dx) <= opts.grad_tol
         if converged:
             break
     # release the pin for a short polish: the pinned result sits at the
     # symmetric minimizer up to the center-node residual, and the polish
     # cannot drift along the valley because the restoring data are local
     if not converged and total_it < opts.max_iter:
-        theta, res = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
+        theta, res, final = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
         total_it += res.nit
         evaluations += res.nfev
         p = p.with_theta(theta)
-    return p, total_it, evaluations, runs - 1
+    return p, final, total_it, evaluations, runs - 1
 
 
 def minimize(
@@ -220,9 +228,11 @@ def minimize(
     op = op or make_operator(p0.grid)
     p = recenter(p0)
     shifts = int(not np.array_equal(p.theta, p0.theta))
-    p, iterations, evaluations, restarts = _run_lbfgs(p, op, opts)
-    p = recenter(p)
-    eb, g = energy_and_gradient(p, op)
+    solved, final, iterations, evaluations, restarts = _run_lbfgs(p, op, opts)
+    p = recenter(solved)
+    if p is not solved or final is None:
+        final = energy_and_gradient(p, op)
+    eb, g = final
     gnorm = _grad_norm(g, p.grid.spacing)
     report = SolveReport(
         iterations=iterations,

@@ -17,6 +17,7 @@ from neelwall import (
     uniqueness_certificate,
     verify,
 )
+import neelwall.cli as cli
 from neelwall.cli import main
 from neelwall.path import path_csv_lines
 
@@ -224,3 +225,35 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["solve", "--nu", "abc", "--out-dir", str(tmp_path)]) == 1
     assert run(["solve", "--init", "bogus", "--out-dir", str(tmp_path)]) == 1
     assert run(["solve", "--help"]) == 0
+
+
+def _header(out):
+    return (out / "profile.txt").read_text().splitlines()[0]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # flags and config values of one call must not reach the next
+    assert run(["solve", "--nu", "2", "--out-dir", str(tmp_path / "a")] + FAST) == 0
+    assert run(["solve", "--out-dir", str(tmp_path / "b")] + FAST) == 0
+    assert _header(tmp_path / "a").startswith("# nu=2 ")
+    assert _header(tmp_path / "b").startswith("# nu=1 ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 0.3\n")
+    assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "c")] + FAST) == 0
+    assert run(["solve", "--out-dir", str(tmp_path / "d")] + FAST) == 0
+    assert " h=0.29999999999999999 " in _header(tmp_path / "c")
+    assert " h=0 " in _header(tmp_path / "d")
+    assert run(["solve", "--nu", "abc"]) == 1
+    assert run(["solve", "--help"]) == 0
+    assert run(["bogus"]) == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_dispatches_through_the_module_attribute(tmp_path, monkeypatch):
+    # a wrapper bound to cli.cmd_solve after the parser exists is the one
+    # main calls, which is how an outside-in tracer sees each command
+    assert run(["solve", "--out-dir", str(tmp_path)] + FAST) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.nu) or 0)
+    assert run(["solve", "--nu", "3", "--out-dir", str(tmp_path)] + FAST) == 0
+    assert seen == [3.0]

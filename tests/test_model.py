@@ -14,6 +14,7 @@ from neelwall import (
     reflect_compose,
     save_profile,
 )
+from neelwall.model import _crossing_locations
 
 
 def test_params_validation():
@@ -79,6 +80,41 @@ def test_recenter_moves_crossing_to_origin():
     assert q.theta[grid.center_index] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def _crossing_locations_reference(x, z):
+    # the node-by-node loop that _crossing_locations replaced
+    locs = []
+    i = 0
+    n = len(z)
+    while i < n:
+        if z[i] == 0.0:
+            j = i
+            while j + 1 < n and z[j + 1] == 0.0:
+                j += 1
+            locs.append(0.5 * (x[i] + x[j]))
+            i = j + 1
+            continue
+        if i + 1 < n and z[i] * z[i + 1] < 0.0:
+            locs.append(x[i] + (x[i + 1] - x[i]) * z[i] / (z[i] - z[i + 1]))
+        i += 1
+    return locs
+
+
+def test_crossing_locations_match_the_reference_loop():
+    # zero runs, touches (a zero between values of one sign) and +-1e-300
+    # neighbours, whose product underflows to 0 and is no sign change
+    rng = np.random.default_rng(0)
+    pool = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 0.5, -2.0])
+    count, width = 10_000, 23
+    zs = np.where(rng.uniform(size=(count, width)) < 0.6,
+                  rng.choice(pool, size=(count, width)), rng.normal(size=(count, width)))
+    xs = np.cumsum(rng.uniform(0.1, 1.0, size=(count, width)), axis=1) - 3.0
+    for x, z, n in zip(xs, zs, rng.integers(1, width + 1, size=count)):
+        x, z = x[:n], z[:n]
+        got = _crossing_locations(x, z)
+        want = _crossing_locations_reference(x, z)
+        assert [float.hex(v) for v in got] == [float.hex(float(v)) for v in want], (x, z)
+
+
 def test_recenter_errors():
     params = make_params(1.0, 0.3)
     grid = make_grid(257, 40.0)
@@ -111,6 +147,29 @@ def test_save_load_round_trip(tmp_path):
     assert q.grid.n == p.grid.n
     assert q.grid.half_width == p.grid.half_width
     assert np.array_equal(q.theta, p.theta)
+
+
+def _save_profile_reference(path, p):
+    # the row-by-row writer that save_profile replaced
+    g, m = p.grid, p.params
+    lines = [f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"]
+    for xi, ti in zip(g.nodes, p.theta):
+        lines.append(f"{xi:.17g} {ti:.17g}\n")
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
+@pytest.mark.parametrize("n", [17, 1025, 8193])
+def test_save_profile_matches_the_reference_writer(tmp_path, n):
+    grid = make_grid(n, 40.0)
+    p = make_initial_profile(grid, make_params(2.0, 0.25), kind="perturbed", seed=5)
+    theta = p.theta.copy()
+    theta[3] = -0.0
+    p = p.with_theta(theta)
+    save_profile(tmp_path / "new.txt", p)
+    _save_profile_reference(tmp_path / "old.txt", p)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+    assert f"\n{grid.nodes[3]:.17g} -0\n" in (tmp_path / "new.txt").read_text()
 
 
 def test_save_profile_is_atomic(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.fft import dst
 
+import neelwall.solver as solver
 from neelwall import (
     NoCrossingError,
     energy_gradient,
@@ -12,6 +13,7 @@ from neelwall import (
     make_operator,
     make_params,
     minimize,
+    uniqueness_certificate,
 )
 from neelwall.model import ModelParams, WallProfile
 from neelwall.solver import SolveOptions, _block_scale, sweep, sweep_csv_lines
@@ -115,3 +117,43 @@ def test_iterations_do_not_grow_with_n(n):
     assert report.iterations < 50
     assert report.evaluations >= report.iterations
     assert report.restarts == 0
+
+
+def test_solve_evaluates_once_per_function_call(monkeypatch):
+    # the last evaluation of a run serves the convergence check and the
+    # report, so nothing is evaluated twice; each function call takes 2 DSTs
+    calls = {"energy_and_gradient": 0, "dst": 0}
+
+    def counted(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    grid = make_grid(1025, 40.0)
+    _, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)))
+    assert report.converged
+    assert calls["energy_and_gradient"] == report.evaluations
+    assert calls["dst"] <= 2 * report.evaluations + 1
+
+
+def test_minimize_keeps_the_dirichlet_data_of_an_off_centre_start():
+    # a width-4 kink shifted by 0.3; an interpolated theta(-L) would sit
+    # 7.6e-5 off its limit, and the solve would freeze that value
+    grid = make_grid(1025, 40.0)
+    params = make_params(1.0, 0.25)
+    th = params.theta_h
+    theta = th + (math.pi - 2 * th) * (2 / math.pi) * np.arctan(np.exp(-(grid.nodes - 0.3) / 4.0))
+    theta[0], theta[-1] = math.pi - th, th
+    p0 = make_initial_profile(grid, params, kind="kink", width=4.0).with_theta(theta)
+    p, report = minimize(p0)
+    template, template_report = minimize(make_initial_profile(grid, params))
+    assert report.converged and report.recenter_shifts == 1
+    assert p.theta[0] == math.pi - th and p.theta[-1] == th
+    assert abs(report.final_energy.total - template_report.final_energy.total) <= 1e-12
+    assert uniqueness_certificate(p, template).verdict == "COINCIDE"
