@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .energy import el_residual, energy, energy_gradient
 from .errors import (
+    FlatTopError,
     MultipleCrossingsError,
     NeelWallError,
     NoCrossingError,

@@ -43,6 +43,7 @@ MONOTONE_TOL = 1e-10
 PLATEAU_SPREAD_LIMIT = 0.5
 
 # verify gates
+VERIFY_BOUNDARY_TOL = 1e-12
 VERIFY_EL_TOL = 1e-5
 VERIFY_SYMMETRY_TOL = 1e-4
 VERIFY_CROSSCHECK_TOL = 1e-3
@@ -250,9 +251,10 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     """Check a computed wall against the paper's claims and gate each check.
 
     Returns {"passed": all checks passed, "checks": {name: {..., "passed"}}}
-    with the checks el_residual, monotone, symmetry, decay_fit, bounds and
-    tail_decay, and at nu > 0 also stray_crosscheck, reconstruction and
-    (when the tail fit succeeds) decay_prediction. The energy and its
+    with the checks boundary (the end values are the Dirichlet data
+    pi - theta_h and theta_h), el_residual, monotone, symmetry, decay_fit,
+    bounds and tail_decay, and at nu > 0 also stray_crosscheck,
+    reconstruction and (when the tail fit succeeds) decay_prediction. The energy and its
     gradient are evaluated once, and so is the stray field v, which serves
     the bounds and the quadrature cross-check at seeded random nodes; the
     Green checks share op's lattice and one a G + G * f solve.
@@ -272,7 +274,10 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
             decay_fit = {"error": str(exc), "passed": False}
     mono_ok, mono_violation = check_monotone(p)
     bounds = _bounds(p, eb.total, v)
+    th = p.params.theta_h
+    boundary = max(abs(p.theta[0] - (math.pi - th)), abs(p.theta[-1] - th))
     checks = {
+        "boundary": _gate("max_defect", float(boundary), VERIFY_BOUNDARY_TOL),
         "el_residual": _gate("max", float(np.max(np.abs(grad[1:-1] / p.grid.spacing))), VERIFY_EL_TOL),
         "monotone": {"max_violation": mono_violation, "passed": mono_ok},
         "symmetry": _gate("defect", symmetry_defect(p), VERIFY_SYMMETRY_TOL),

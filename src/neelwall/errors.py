@@ -32,5 +32,10 @@ class NotRecentredError(NeelWallError):
     """Path construction requires theta(0) = pi/2 on both endpoints."""
 
 
+class FlatTopError(NeelWallError):
+    """|sin theta| = 1 at a node other than the center, where the arcsin
+    path's t-derivatives divide by cos theta = 0."""
+
+
 class RangeViolationError(NeelWallError):
     """Interpolated sine values left [-1, 1] by more than roundoff slack."""

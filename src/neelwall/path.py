@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import energy_parts, trapezoid_weights
-from .errors import NotRecentredError, RangeViolationError
+from .errors import FlatTopError, NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, parseval, spectrum
 from .model import Grid, WallProfile
 
@@ -85,6 +85,12 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
         if abs(p.theta[c] - math.pi / 2.0) > RECENTRE_TOL:
             raise NotRecentredError(
                 f"theta(0) = {p.theta[c]:.12g}, expected pi/2; recenter first"
+            )
+        flat = np.flatnonzero(np.abs(np.sin(p.theta)) == 1.0)
+        flat = flat[flat != c]
+        if len(flat):
+            raise FlatTopError(
+                f"|sin theta| = 1 at node {flat[0]} off the center; the path is singular there"
             )
 
 

@@ -11,21 +11,18 @@ lambda, and L-BFGS iterates on the coefficients z with theta_block =
 theta_start + D(lambda^(-1/2) z), whose gradient is lambda^(-1/2) D g. This
 removes the dx^-2 condition number of the exchange term, so the iteration
 count does not grow with n, and it costs 2 DSTs and one evaluation per
-L-BFGS function call. The last evaluation of a run is handed on to the
-convergence check and, when the final recentring leaves the profile as it
-is, to the report, so nothing is evaluated twice.
+L-BFGS function call. The evaluation that met the tolerance is handed on to
+the report, so nothing is evaluated twice.
 
-A run stops on the acceptance quantity itself, sup|gradient|/dx <=
-grad_tol, which matches the continuum Euler-Lagrange residual scale, not on
-the energy decrease (which cannot resolve steps below ~eps E on fine
-grids). Runs are capped in chunks and restarted with fresh memory when
-they stop short. The pin removes the translation degeneracy: the discrete
-energy is flat along sub-grid translations, so an unpinned iterate can stop
-anywhere on the valley, and recentring it by resampling would re-inject an
-O(dx^2) gradient defect far above the default tolerance. The pin is
-inactive at the symmetric minimizer, where the full gradient vanishes
-anyway; if the pinned result still misses the tolerance, a short unpinned
-polish over one block of n - 2 nodes follows.
+A solve stops on the acceptance quantity itself, the full sup|gradient|/dx
+<= grad_tol with the pinned center node included, which matches the
+continuum Euler-Lagrange residual scale, not on the energy decrease (which
+cannot resolve steps below ~eps E on fine grids). The pin removes the
+translation degeneracy (the discrete energy is flat along sub-grid
+translations) and is inactive at the symmetric minimizer, where the full
+gradient vanishes. When scipy ends a run short of the tolerance, the run is
+restarted warm with fresh memory, at most MAX_RESTARTS times. The result
+keeps theta(0) = pi/2 and the input's end values exactly.
 """
 
 from __future__ import annotations
@@ -60,10 +57,8 @@ __all__ = [
     "sweep_csv_lines",
 ]
 
-# Iterations per L-BFGS run; a run that stops short of the gradient
-# tolerance is restarted with fresh memory, at most MAX_RESTARTS times.
-LBFGS_CHUNK = 2000
 LBFGS_MEMORY = 30
+# warm restarts with fresh memory after scipy stops short of the tolerance
 MAX_RESTARTS = 8
 
 
@@ -82,8 +77,11 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one minimize. iterations and evaluations are summed over
-    the L-BFGS runs (scipy's nit and nfev); restarts counts the pinned runs
-    after the first."""
+    the L-BFGS runs (scipy's nit and nfev, plus one evaluation when the last
+    run returned a point it had not evaluated last); restarts counts the
+    warm restarts after the first run; stop is why the solve ended:
+    "grad_tol" (the full gradient met the tolerance), "max_iter" (the
+    iteration budget ran out) or "stalled" (MAX_RESTARTS ran out)."""
 
     iterations: int
     final_energy: EnergyBreakdown
@@ -92,6 +90,7 @@ class SolveReport:
     converged: bool
     evaluations: int
     restarts: int
+    stop: str
 
 
 def _grad_norm(g: np.ndarray, dx: float) -> float:
@@ -109,109 +108,6 @@ def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
     return (dx * linearized_symbol(params, k, k2)) ** -0.5
 
 
-def _lbfgs(
-    p: WallProfile,
-    op: HalfLaplacianOperator,
-    theta: np.ndarray,
-    pin: bool,
-    max_iter: int,
-    grad_tol: float,
-):
-    """One preconditioned L-BFGS run of at most min(LBFGS_CHUNK, max_iter)
-    iterations; returns the new theta, scipy's result, and the energy
-    breakdown and full gradient at the new theta when the run evaluated
-    them there last (None otherwise).
-
-    The boundary values stay frozen, and with pin so does the center value
-    pi/2, which splits the interior into two Dirichlet blocks. The run
-    iterates on the DST-I coefficients z of each block, with theta_block =
-    theta_start + D(lambda^(-1/2) z), and stops once the last evaluated
-    gradient at the current iterate meets sup|g|/dx <= grad_tol.
-    """
-    n = p.grid.n
-    c = p.grid.center_index
-    dx = p.grid.spacing
-    start = theta.copy()
-    if pin:
-        start[c] = 0.5 * math.pi
-        free = np.r_[1:c, c + 1 : n - 1]
-    else:
-        free = np.arange(1, n - 1)
-    blocks = 2 if pin else 1
-    scale = _block_scale(len(free) // blocks, dx, p.params)
-
-    def to_theta(z: np.ndarray) -> np.ndarray:
-        full = start.copy()
-        full[free] += dst(scale * z.reshape(blocks, -1), type=1, norm="ortho", axis=-1).ravel()
-        return full
-
-    last = {}
-
-    def fg(z: np.ndarray):
-        theta = to_theta(z)
-        eb, g = energy_and_gradient(p.with_theta(theta), op)
-        last.update(z=z.copy(), theta=theta, eb=eb, g=g)
-        gz = scale * dst(g[free].reshape(blocks, -1), type=1, norm="ortho", axis=-1)
-        return eb.total, gz.ravel()
-
-    def stop(z: np.ndarray) -> None:
-        if np.array_equal(z, last["z"]) and _grad_norm(last["g"][free], dx) <= grad_tol:
-            raise StopIteration
-
-    res = scipy.optimize.minimize(
-        fg,
-        np.zeros(len(free)),
-        jac=True,
-        method="L-BFGS-B",
-        callback=stop,
-        options=dict(
-            maxiter=min(LBFGS_CHUNK, max_iter),
-            maxcor=LBFGS_MEMORY,
-            gtol=0.0,
-            ftol=1e-22,
-            maxls=100,
-        ),
-    )
-    if np.array_equal(res.x, last.get("z")):
-        return last["theta"], res, (last["eb"], last["g"])
-    return to_theta(res.x), res, None
-
-
-def _run_lbfgs(
-    p: WallProfile, op: HalfLaplacianOperator, opts: SolveOptions
-) -> tuple[WallProfile, tuple[EnergyBreakdown, np.ndarray] | None, int, int, int]:
-    """Pinned L-BFGS runs until the gradient tolerance, max_iter or
-    MAX_RESTARTS, then, if the pinned result misses the tolerance, one
-    unpinned polish; returns the profile, its energy breakdown and gradient
-    when the last run evaluated them (None otherwise), the iteration and
-    evaluation counts, and the number of restarts."""
-    dx = p.grid.spacing
-    total_it = evaluations = 0
-    theta = p.theta
-    runs = 0
-    converged = False
-    while total_it < opts.max_iter and runs <= MAX_RESTARTS:
-        theta, res, final = _lbfgs(p, op, theta, True, opts.max_iter - total_it, opts.grad_tol)
-        runs += 1
-        total_it += max(res.nit, 1)
-        evaluations += res.nfev
-        p = p.with_theta(theta)
-        if final is None:
-            final = energy_and_gradient(p, op)
-        converged = _grad_norm(final[1], dx) <= opts.grad_tol
-        if converged:
-            break
-    # release the pin for a short polish: the pinned result sits at the
-    # symmetric minimizer up to the center-node residual, and the polish
-    # cannot drift along the valley because the restoring data are local
-    if not converged and total_it < opts.max_iter:
-        theta, res, final = _lbfgs(p, op, theta, False, opts.max_iter - total_it, opts.grad_tol)
-        total_it += res.nit
-        evaluations += res.nfev
-        p = p.with_theta(theta)
-    return p, final, total_it, evaluations, runs - 1
-
-
 def minimize(
     p0: WallProfile,
     opts: SolveOptions | None = None,
@@ -219,31 +115,92 @@ def minimize(
 ) -> tuple[WallProfile, SolveReport]:
     """Minimize the discrete energy from p0; boundary values stay frozen.
 
-    The returned profile is recentred (theta(0) = pi/2); the report carries
-    the final gradient norm and energy breakdown. Raises NoCrossingError /
-    MultipleCrossingsError (from recentring) if p0 does not cross pi/2
+    p0 is recentred once, and the center value is then pinned at pi/2. One
+    loop of preconditioned L-BFGS runs on the DST-I coefficients of the two
+    blocks. The callback ends a run once an evaluation has met the full
+    sup|g|/dx <= grad_tol, center node included, and that first such point
+    is the result. A run that scipy ends short of the tolerance is restarted
+    warm from its last point with fresh memory, at most MAX_RESTARTS times,
+    with the iterations left of max_iter. The report carries the final
+    gradient norm, energy breakdown and stop reason. Raises NoCrossingError
+    / MultipleCrossingsError (from recentring) if p0 does not cross pi/2
     exactly once.
     """
     opts = opts or SolveOptions()
     op = op or make_operator(p0.grid)
     p = recenter(p0)
     shifts = int(not np.array_equal(p.theta, p0.theta))
-    solved, final, iterations, evaluations, restarts = _run_lbfgs(p, op, opts)
-    p = recenter(solved)
-    if p is not solved or final is None:
-        final = energy_and_gradient(p, op)
-    eb, g = final
-    gnorm = _grad_norm(g, p.grid.spacing)
+    n, c, dx = p.grid.n, p.grid.center_index, p.grid.spacing
+    start = p.theta.copy()
+    start[c] = 0.5 * math.pi
+    free = np.r_[1:c, c + 1 : n - 1]
+    scale = _block_scale(c - 1, dx, p.params)
+
+    def to_theta(z: np.ndarray) -> np.ndarray:
+        full = start.copy()
+        full[free] += dst(scale * z.reshape(2, -1), type=1, norm="ortho", axis=-1).ravel()
+        return full
+
+    last, hit = {}, {}
+
+    def fg(z: np.ndarray):
+        theta = to_theta(z)
+        eb, g = energy_and_gradient(p.with_theta(theta), op)
+        last.update(z=z.copy(), theta=theta, eb=eb, g=g)
+        if not hit and _grad_norm(g, dx) <= opts.grad_tol:
+            hit.update(last)
+        gz = scale * dst(g[free].reshape(2, -1), type=1, norm="ortho", axis=-1)
+        return eb.total, gz.ravel()
+
+    def stop(z: np.ndarray) -> None:
+        if hit:
+            raise StopIteration
+
+    x0 = np.zeros(len(free))
+    iterations = evaluations = restarts = 0
+    stop_reason = None
+    while stop_reason is None:
+        res = scipy.optimize.minimize(
+            fg,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            callback=stop,
+            options=dict(
+                maxiter=opts.max_iter - iterations,
+                maxcor=LBFGS_MEMORY,
+                gtol=0.0,
+                ftol=1e-22,
+                maxls=100,
+            ),
+        )
+        iterations += res.nit
+        evaluations += res.nfev
+        x0 = res.x
+        if hit:
+            stop_reason = "grad_tol"
+        elif iterations >= opts.max_iter:
+            stop_reason = "max_iter"
+        elif restarts == MAX_RESTARTS:
+            stop_reason = "stalled"
+        else:
+            restarts += 1
+    if not hit and not np.array_equal(x0, last["z"]):
+        fg(x0)
+        evaluations += 1
+    final = hit or last
+    gnorm = _grad_norm(final["g"], dx)
     report = SolveReport(
         iterations=iterations,
-        final_energy=eb,
+        final_energy=final["eb"],
         final_grad_norm=gnorm,
         recenter_shifts=shifts,
         converged=gnorm <= opts.grad_tol,
         evaluations=evaluations,
         restarts=restarts,
+        stop=stop_reason,
     )
-    return p, report
+    return p.with_theta(final["theta"]), report
 
 
 @dataclass(frozen=True)

@@ -160,13 +160,22 @@ def test_stray_crosscheck_fails_on_a_foreign_operator(solved):
     assert not report["passed"]
 
 
-def test_verify_local_limit_runs_six_checks(solved):
+def test_verify_local_limit_runs_seven_checks(solved):
     p, _ = solved(0.0, 0.0)
     report = verify(p)
     assert list(report["checks"]) == [
-        "el_residual", "monotone", "symmetry", "decay_fit", "bounds", "tail_decay"
+        "boundary", "el_residual", "monotone", "symmetry", "decay_fit", "bounds", "tail_decay"
     ]
     assert report["passed"]
+
+
+@pytest.mark.parametrize("kind", ["template", "kink", "perturbed"])
+def test_boundary_gate_passes_on_initial_and_solved_profiles(solved, kind):
+    params = make_params(1.0, 0.25)
+    p0 = make_initial_profile(make_grid(513, 40.0), params, kind=kind)
+    p, _ = solved(1.0, 0.25, kind=kind)
+    for q in (p0, p):
+        assert verify(q)["checks"]["boundary"] == {"max_defect": 0.0, "tol": 1e-12, "passed": True}
 
 
 def _count_calls(monkeypatch, name):

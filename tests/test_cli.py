@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -7,9 +8,12 @@ from neelwall import (
     decay_prediction,
     fold,
     load_profile,
+    make_grid,
     make_initial_profile,
     make_linearized,
     make_operator,
+    make_params,
+    minimize,
     path_scan,
     reconstruct,
     recenter,
@@ -60,6 +64,22 @@ def test_solve_not_converged(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is False
+    assert report["stop"] == "max_iter"
+
+
+def test_default_solve_stops_on_the_gradient_tolerance(tmp_path):
+    assert run(["solve", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["stop"] == "grad_tol" and report["converged"] is True
+
+
+def test_perturbed_default_solve_converges_without_restarts(tmp_path):
+    # runs that stop on the free-node gradient leave the center residual
+    # above the tolerance here: 8 restarts, 289 evaluations and exit 2
+    assert run(["solve", "--nu", "1", "--h", "0", "--n", "4097", "--init", "perturbed",
+                "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["restarts"] == 0 and report["stop"] == "grad_tol"
 
 
 def test_verify_pass(solved_dir, tmp_path):
@@ -86,6 +106,34 @@ def test_verify_fail_on_corrupted(solved_dir, tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] is False
+
+
+def test_verify_fails_on_drifted_dirichlet_data(tmp_path):
+    # a solve from an end value 7.6e-5 off its limit keeps that value and is
+    # stationary for it; only the boundary gate sees the drift
+    grid = make_grid(1025, 40.0)
+    p0 = make_initial_profile(grid, make_params(1.0, 0.25))
+    theta = p0.theta.copy()
+    theta[0] -= 7.6e-5
+    p, report = minimize(p0.with_theta(theta))
+    assert report.converged
+    prof = tmp_path / "drifted.txt"
+    save_profile(prof, p)
+    assert run(["verify", str(prof), "--out-dir", str(tmp_path)]) == 3
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert checks["boundary"]["max_defect"] == pytest.approx(7.6e-5)
+    assert [name for name, c in checks.items() if not c["passed"]] == ["boundary"]
+
+
+def test_path_rejects_a_flat_topped_profile(tmp_path):
+    grid = make_grid(257, 40.0)
+    params = make_params(1.0, 0.5)
+    p1 = make_initial_profile(grid, params, kind="kink")
+    theta = p1.theta.copy()
+    theta[grid.center_index - 1] = math.pi / 2 + 1e-8
+    save_profile(tmp_path / "flat.txt", p1.with_theta(theta))
+    save_profile(tmp_path / "kink.txt", make_initial_profile(grid, params, kind="kink", width=2.0))
+    assert run(["path", str(tmp_path / "flat.txt"), str(tmp_path / "kink.txt"), "--out-dir", str(tmp_path)]) == 1
 
 
 def test_verify_missing_file(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neelwall import (
+    FlatTopError,
     NotRecentredError,
     RangeViolationError,
     energy,
@@ -15,6 +16,7 @@ from neelwall import (
     pairing,
     path_scan,
     recenter,
+    reflect_compose,
     stationarity_defect,
     uniqueness_certificate,
 )
@@ -74,6 +76,29 @@ def test_range_guard(pair):
     theta[c + 1] = p2.params.theta_h
     with pytest.raises(RangeViolationError):
         interpolate_profiles(p1, p2.with_theta(theta), 1.5)
+
+
+@pytest.mark.parametrize("bump,rejected", [(1e-8, True), (3e-8, False)])
+def test_flat_topped_pair_gets_the_verdict_of_its_reflection(bump, rejected):
+    # sin(pi/2 + 1e-8) rounds to 1 and cos theta^t to ~6e-17 at that node:
+    # min f'' read -1.58e44 on the pair and +0.502 on its reflection
+    params = make_params(1.0, 0.5)
+    grid = make_grid(257, 40.0)
+    kink = make_initial_profile(grid, params, kind="kink")
+    theta = kink.theta.copy()
+    theta[grid.center_index - 1] = math.pi / 2 + bump
+    p1 = kink.with_theta(theta)
+    p2 = make_initial_profile(grid, params, kind="kink", width=2.0)
+    outcomes = []
+    for a, b in ((p1, p2), (reflect_compose(p1), reflect_compose(p2))):
+        if rejected:
+            with pytest.raises(FlatTopError):
+                path_scan(a, b)
+        else:
+            outcomes.append(min(pt.f_second_analytic for pt in path_scan(a, b)))
+    if not rejected:
+        assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-12)
+        assert outcomes[0] > 0.5
 
 
 def test_scan_endpoint_energies(pair, operators):

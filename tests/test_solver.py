@@ -157,3 +157,30 @@ def test_minimize_keeps_the_dirichlet_data_of_an_off_centre_start():
     assert p.theta[0] == math.pi - th and p.theta[-1] == th
     assert abs(report.final_energy.total - template_report.final_energy.total) <= 1e-12
     assert uniqueness_certificate(p, template).verdict == "COINCIDE"
+
+
+def test_minimize_reaches_a_tight_tolerance_at_n_8193():
+    # runs that stop on the free-node gradient stall here at 7.21e-10
+    grid = make_grid(8193, 40.0)
+    _, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), SolveOptions(grad_tol=1e-10))
+    assert report.converged and report.stop == "grad_tol"
+    assert report.final_grad_norm <= 1e-10
+
+
+def test_minimize_stalls_below_the_rounding_floor():
+    grid = make_grid(4097, 40.0)
+    p, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), SolveOptions(grad_tol=1e-12))
+    assert report.stop == "stalled" and not report.converged
+    assert report.restarts == solver.MAX_RESTARTS
+    assert report.final_grad_norm > 1e-12
+    assert p.theta[grid.center_index] == math.pi / 2
+
+
+def test_an_evaluation_that_meets_the_tolerance_ends_the_solve():
+    # the line search rejects a point with sup|g|/dx = 5.2e-7 here (its
+    # energy is one ulp higher) and scipy then stops on a zero energy
+    # decrease; a stop checked only at accepted iterates needs a restart
+    grid = make_grid(16385, 40.0)
+    p0 = make_initial_profile(grid, make_params(0.0, 0.5), kind="perturbed")
+    _, report = minimize(p0)
+    assert report.converged and report.restarts == 0
