@@ -17,6 +17,7 @@ from .analysis import (
     check_monotone,
     derivative_sup,
     fit_decay,
+    oracle,
     symmetry_defect,
     tail_decay_check,
     verify,
@@ -27,7 +28,6 @@ from .errors import (
     MultipleCrossingsError,
     NeelWallError,
     NoCrossingError,
-    NotConvergedError,
     NotRecentredError,
     RangeViolationError,
     TailTooLargeError,

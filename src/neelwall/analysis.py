@@ -1,11 +1,14 @@
-"""Structural checks on computed wall profiles, and verify, which gates them.
+"""Structural checks on computed wall profiles, and the two gated suites:
+verify for a profile, oracle for the half-Laplacian itself.
 
 Covers the qualitative claims a minimizer must satisfy: monotone decrease,
 reflection symmetry theta(x) + theta(-x) = pi, algebraic x^-2 tail decay,
 and closed-form a-priori bounds on theta_x, the stray field v, and
 theta_xx in terms of the total energy. verify runs them all on one profile
-with the stationarity, stray-field and Green-function checks, and owns every
-tolerance.
+with the stationarity, stray-field and Green-function checks; oracle
+checks the spectral operator and pairing against the quadrature, a closed
+form and the seminorm double integral. Both share one quadrature
+cross-check, and this module owns every tolerance they gate on.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from .halflap import (
     apply_spectral,
     default_delta,
     make_operator,
+    pairing,
+    seminorm_double_integral,
 )
-from .model import WallProfile
+from .model import Grid, WallProfile, tail_window
 
 __all__ = [
     "DecayFit",
@@ -37,6 +42,7 @@ __all__ = [
     "derivative_sup",
     "tail_decay_check",
     "verify",
+    "oracle",
 ]
 
 MONOTONE_TOL = 1e-10
@@ -50,6 +56,12 @@ VERIFY_CROSSCHECK_TOL = 1e-3
 VERIFY_RECONSTRUCTION_TOL = 5e-2
 VERIFY_DECAY_GAP_TOL = 0.2
 CROSSCHECK_SAMPLES = 5
+TAIL_DECAY_FACTOR = 100.0
+
+# oracle gates; delta is default_delta at the default nu = 1, as the corpus has no nu
+ORACLE_TOL = 1e-4
+ORACLE_DELTA = math.pi
+ORACLE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -111,11 +123,6 @@ def symmetry_defect(p: WallProfile) -> float:
     return float(np.max(np.abs(p.theta + p.theta[::-1] - math.pi)))
 
 
-def _tail_window_mask(x: np.ndarray, half_width: float) -> np.ndarray:
-    lo, hi = 0.5 * half_width, 0.9 * half_width
-    return (x >= lo) & (x <= hi)
-
-
 def fit_decay(p: WallProfile) -> DecayFit:
     """Estimate the quadratic-decay constants from the plateau of
     x^2 * (tail deviation) over the window [0.5 L, 0.9 L].
@@ -129,7 +136,7 @@ def fit_decay(p: WallProfile) -> DecayFit:
     grid = p.grid
     x = grid.nodes
     theta_h = p.params.theta_h
-    mask = _tail_window_mask(x, grid.half_width)
+    window, mask = tail_window(grid)
     g_right = x[mask] ** 2 * (p.theta[mask] - theta_h)
     g_left = x[mask] ** 2 * (math.pi - theta_h - p.theta[::-1][mask])
 
@@ -148,7 +155,6 @@ def fit_decay(p: WallProfile) -> DecayFit:
             f"tail plateau spread {spread:.3g} exceeds {PLATEAU_SPREAD_LIMIT}; "
             "increase the half-width or resolution"
         )
-    window = (0.5 * grid.half_width, 0.9 * grid.half_width)
     return DecayFit(c_plus=c_plus, c_minus=c_minus, window=window, plateau_spread=spread)
 
 
@@ -171,9 +177,10 @@ def derivative_sup(p: WallProfile, order: int) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def tail_decay_check(p: WallProfile, factor: float = 100.0) -> bool:
-    """True when each derivative of order 1..3 decays by at least `factor`
-    from its global sup to its sup over the outer window [0.9 L, 0.99 L].
+def tail_decay_check(p: WallProfile) -> bool:
+    """True when each derivative of order 1..3 decays by at least a factor
+    TAIL_DECAY_FACTOR from its global sup to its sup over the outer window
+    [0.9 L, 0.99 L].
 
     The last percent of the grid is skipped: the frozen end value absorbs
     the c/L^2 truncation mismatch in a boundary layer whose derivatives
@@ -189,7 +196,7 @@ def tail_decay_check(p: WallProfile, factor: float = 100.0) -> bool:
         )
         sup_all = float(np.max(np.abs(vals)))
         sup_outer = float(np.max(np.abs(vals[outer])))
-        if sup_outer * factor > sup_all:
+        if sup_outer * TAIL_DECAY_FACTOR > sup_all:
             return False
     return True
 
@@ -230,16 +237,15 @@ def _bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> BoundsRepor
     )
 
 
-def _stray_crosscheck(p: WallProfile, u: np.ndarray, v: np.ndarray, seed: int) -> float:
-    """Max discrepancy between the spectral stray field v of u and the
-    singular-integral quadrature at randomly chosen interior nodes."""
-    grid = p.grid
-    delta = default_delta(p.params.nu)
+def _quadrature_gap(u: np.ndarray, v: np.ndarray, grid: Grid, delta: float, seed, samples: int) -> float:
+    """Max gap between the spectral half-Laplacian v of u and the quadrature
+    split at delta, at `samples` nodes drawn by default_rng(seed) (a Generator
+    is used as is) among those whose quadrature window fits in the grid."""
     margin = int(math.ceil(delta / grid.spacing)) + 2
     lo, hi = margin, grid.n - margin
     if hi <= lo:
-        raise ValueError("grid too small for the quadrature window")
-    idx = np.random.default_rng(seed).integers(lo, hi, size=CROSSCHECK_SAMPLES)
+        raise ValueError(f"grid too small for the quadrature window (delta = {delta:.6g})")
+    idx = np.random.default_rng(seed).integers(lo, hi, size=samples)
     return max(float(abs(apply_quadrature(u, grid, int(i), delta) - v[i])) for i in idx)
 
 
@@ -286,7 +292,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
         "tail_decay": {"passed": tail_decay_check(p)},
     }
     if nu > 0:
-        gap = _stray_crosscheck(p, u, v, seed)
+        gap = _quadrature_gap(u, v, p.grid, default_delta(nu), seed, CROSSCHECK_SAMPLES)
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
         lin = greenfn.make_linearized(p.params, p.grid, op)
         fp = greenfn.fold(p, op)
@@ -298,4 +304,52 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
             rel = abs(pred - fit.c_plus) / abs(fit.c_plus) if fit.c_plus else math.inf
             checks["decay_prediction"] = {"predicted": pred, "fitted": fit.c_plus, "relative_gap": rel,
                                           "passed": rel <= VERIFY_DECAY_GAP_TOL}
+    return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}
+
+
+def _oracle_corpus(grid: Grid) -> list[tuple[str, np.ndarray]]:
+    x = grid.nodes
+    return [
+        ("lorentzian", 1.0 / (1.0 + x**2)),
+        ("gaussian", np.exp(-0.5 * x**2)),
+        ("squashed_kink", np.sin(2.0 * np.arctan(np.exp(-x))) ** 2),
+    ]
+
+
+def _corpus_gate(gaps: dict[str, float]) -> dict:
+    return {"gaps": gaps, **_gate("max", float(np.max(list(gaps.values()))), ORACLE_TOL)}
+
+
+def oracle(grid: Grid, seed: int = 0) -> dict:
+    """Cross-validate the spectral half-Laplacian and its pairing on a fixed
+    corpus of decaying functions, and gate each check.
+
+    Returns {"passed", "checks"} like verify, with the checks
+    operator_equivalence (against the quadrature split at delta = pi, at
+    seeded random nodes, relative to sup|u|), lorentzian_closed_form (sup
+    error on |x| <= L/2) and seminorm_identity (pairing(u, u) against the
+    double-integral seminorm, relative); the corpus checks keep each
+    function's gap under "gaps" and gate their maximum.
+    """
+    op = make_operator(grid)
+    rng = np.random.default_rng(seed)
+    corpus = _oracle_corpus(grid)
+    equivalence = {
+        name: _quadrature_gap(u, apply_spectral(op, u), grid, ORACLE_DELTA, rng, ORACLE_SAMPLES)
+        / float(np.max(np.abs(u)))
+        for name, u in corpus
+    }
+    x = grid.nodes
+    exact = (1.0 - x**2) / (1.0 + x**2) ** 2
+    interior = np.abs(x) <= 0.5 * grid.half_width
+    closed = float(np.max(np.abs(apply_spectral(op, dict(corpus)["lorentzian"]) - exact)[interior]))
+    seminorm = {}
+    for name, u in corpus:
+        qd = seminorm_double_integral(u, grid)
+        seminorm[name] = abs(pairing(op, u, u) - qd) / abs(qd)
+    checks = {
+        "operator_equivalence": _corpus_gate(equivalence),
+        "lorentzian_closed_form": _gate("max", closed, ORACLE_TOL),
+        "seminorm_identity": _corpus_gate(seminorm),
+    }
     return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}

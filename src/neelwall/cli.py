@@ -1,9 +1,11 @@
 """Command-line interface: solve, verify, path, sweep, oracle.
 
 Configuration precedence is flags over config-file keys over built-in
-defaults; the config file is flat `key = value` text. All file outputs
-are written atomically (temp file + rename). Exit codes: 0 ok, 1 usage or
-config error, 2 not converged, 3 verification failure, 4 certificate
+defaults; the config file is flat `key = value` text. Each command only
+reads its inputs and writes or prints what the library returns; verify
+and oracle take every gate from analysis. All file outputs are written
+atomically (temp file + rename). Exit codes: 0 ok, 1 usage or config
+error, 2 not converged, 3 verification failure, 4 certificate
 contradiction.
 """
 
@@ -16,20 +18,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, path as pathmod, solver
 from .errors import NeelWallError
-from .halflap import (
-    apply_quadrature,
-    apply_spectral,
-    default_delta,
-    make_operator,
-    pairing,
-    seminorm_double_integral,
-)
 from .model import (
-    Grid,
     make_grid,
     make_initial_profile,
     make_params,
@@ -184,57 +175,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.converged for r in rows) else EXIT_NOT_CONVERGED
 
 
-def _oracle_corpus(grid: Grid) -> list[tuple[str, np.ndarray]]:
-    x = grid.nodes
-    return [
-        ("lorentzian", 1.0 / (1.0 + x**2)),
-        ("gaussian", np.exp(-0.5 * x**2)),
-        ("squashed_kink", np.sin(2.0 * np.arctan(np.exp(-x))) ** 2),
-    ]
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    grid = make_grid(cfg["n"], cfg["half_width"])
-    op = make_operator(grid)
-    delta = default_delta(max(cfg["nu"], 1e-6))
-    rng = np.random.default_rng(cfg["seed"])
-    ok = True
-
-    # spectral vs singular-integral quadrature at random interior nodes
-    margin = int(math.ceil(delta / grid.spacing)) + 2
-    worst_eq = 0.0
-    for name, u in _oracle_corpus(grid):
-        v = apply_spectral(op, u)
-        scale = float(np.max(np.abs(u)))
-        idx = rng.integers(margin, grid.n - margin, size=8)
-        gap = max(abs(apply_quadrature(u, grid, int(i), delta) - v[i]) for i in idx)
-        rel = gap / scale
-        worst_eq = max(worst_eq, rel)
-        print(f"operator equivalence [{name}]: {rel:.3e}")
-    ok &= worst_eq <= 1e-4
-
-    # closed form for the Lorentzian bump
-    x = grid.nodes
-    u = 1.0 / (1.0 + x**2)
-    exact = (1.0 - x**2) / (1.0 + x**2) ** 2
-    interior = np.abs(x) <= 0.5 * grid.half_width
-    gap = float(np.max(np.abs(apply_spectral(op, u) - exact)[interior]))
-    print(f"lorentzian closed form: {gap:.3e}")
-    ok &= gap <= 1e-4
-
-    # Parseval pairing vs double-integral seminorm
-    worst_sn = 0.0
-    for name, u in _oracle_corpus(grid):
-        qp = pairing(op, u, u)
-        qd = seminorm_double_integral(u, grid)
-        rel = abs(qp - qd) / abs(qd)
-        worst_sn = max(worst_sn, rel)
-        print(f"seminorm identity [{name}]: {rel:.3e}")
-    ok &= worst_sn <= 1e-4
-
-    print("oracle: PASS" if ok else "oracle: FAIL")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    result = analysis.oracle(make_grid(cfg["n"], cfg["half_width"]), seed=cfg["seed"])
+    for key, check in result["checks"].items():
+        label = key.replace("_", " ")
+        if "gaps" in check:
+            for name, gap in check["gaps"].items():
+                print(f"{label} [{name}]: {gap:.3e}")
+        else:
+            print(f"{label}: {check['max']:.3e}")
+    print("oracle: PASS" if result["passed"] else "oracle: FAIL")
+    return EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:

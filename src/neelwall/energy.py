@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .halflap import HalfLaplacianOperator, apply_spectral, pairing
-from .model import EnergyBreakdown, WallProfile
+from .model import EnergyBreakdown, WallProfile, trapezoid_weights
 
 __all__ = [
     "energy",
@@ -32,14 +32,7 @@ __all__ = [
     "energy_gradient",
     "energy_and_gradient",
     "energy_parts",
-    "trapezoid_weights",
 ]
-
-
-def trapezoid_weights(n: int, dx: float) -> np.ndarray:
-    w = np.full(n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    return w
 
 
 def energy_and_gradient(

@@ -20,10 +20,6 @@ class TailTooLargeError(NeelWallError):
     """
 
 
-class NotConvergedError(NeelWallError):
-    """Minimization stopped before reaching the gradient tolerance."""
-
-
 class WindowTooNoisyError(NeelWallError):
     """The x^2-tail plateau varies too much over the fitting window."""
 

@@ -8,7 +8,8 @@ from theta_h satisfies L(rho - theta_h) = a delta + f, where
 and a = 2 |theta'(0)| comes from the slope jump at the fold. Inverting L
 through its Fourier symbol yields the fundamental solution G, and the
 representation rho = theta_h + a G + G * f explains the x^-2 tail: both
-G and the convolution inherit quadratic decay from the |k| term.
+G and the convolution inherit quadratic decay from the |k| term. L and its
+inverse act through the transforms of the grid's padded lattice in halflap.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import trapezoid_weights
 from .halflap import HalfLaplacianOperator, apply_spectral, make_operator
-from .model import Grid, ModelParams, WallProfile
+from .model import Grid, ModelParams, WallProfile, tail_window, trapezoid_weights
 
 __all__ = [
     "LinearizedOperator",
@@ -88,20 +88,14 @@ def make_linearized(
 
 def apply_linearized(w: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     """L w for a sample vector decaying to 0 at the ends (zero padding)."""
-    if len(w) != lin.grid.n:
-        raise ValueError("sample length does not match the grid")
-    lattice = lin.lattice
-    spectrum = np.fft.rfft(lattice.pad(w))
-    return lattice.crop(np.fft.irfft(lin.symbol * spectrum, n=lattice.padded_len))
+    return lin.lattice.inverse(lin.symbol * lin.lattice.transform(w))
 
 
 def _solve(s: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     """sum_j s_j G(x_i - x_j) on the grid nodes, i.e. L^{-1} of point
     masses s_j at the nodes: one division by the symbol on the padded
     lattice."""
-    lattice = lin.lattice
-    spectrum = np.fft.rfft(lattice.pad(s)) / lin.symbol
-    return lattice.crop(np.fft.irfft(spectrum, n=lattice.padded_len)) / lin.grid.spacing
+    return lin.lattice.inverse(lin.lattice.transform(s) / lin.symbol) / lin.grid.spacing
 
 
 def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
@@ -115,10 +109,7 @@ def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
 def convolve_green(f: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
     """(G * f)(x_i) by trapezoid quadrature over the grid nodes, with G
     evaluated on the padded lattice (no truncation of G itself)."""
-    grid = lin.grid
-    if len(f) != grid.n:
-        raise ValueError("sample length does not match the grid")
-    return _solve(f * trapezoid_weights(grid.n, grid.spacing), lin)
+    return _solve(f * trapezoid_weights(lin.grid.n, lin.grid.spacing), lin)
 
 
 def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfile:
@@ -187,7 +178,6 @@ def decay_prediction(fp: FoldedProfile, lin: LinearizedOperator, dev: np.ndarray
     if dev is None:
         dev = reconstructed_deviation(fp, lin)
     x = fp.grid.nodes
-    hw = fp.grid.half_width
-    mask = (x >= 0.5 * hw) & (x <= 0.9 * hw)
+    _, mask = tail_window(fp.grid)
     return float(np.median(x[mask] ** 2 * dev[mask]))
 

@@ -1,17 +1,18 @@
 """Two independent realizations of the half-Laplacian (-d^2/dx^2)^(1/2).
 
 The workhorse is a zero-padded FFT with multiplier |k| on one lattice per
-grid, HalfLaplacianOperator, which alone chooses the padded length, pads,
-crops and holds |k|; the linearized operator in greenfn works on the same
-lattice. The stray-field form pairing(u, w) is the Parseval sum (parseval)
-of the two padded-lattice spectra (spectrum); callers that combine spectra
-linearly, like the path scan, use the same summation. The cross-check is a
-principal-value singular integral split at a scale delta, with the inner
-part written as a symmetrized second difference (removable singularity) and
-the outer part closed in form beyond the grid using the constant extension
-of the input. The H^(1/2) seminorm oracle for the pairing is a double-
-trapezoid sum of the real-space kernel 1/(x-y)^2, evaluated as Toeplitz
-products in O(n log n); it does not use the padded lattice or |k|.
+grid, HalfLaplacianOperator, which alone chooses the padded length, holds
+|k| and takes every transform (transform pads and rffts, inverse irffts and
+crops); the linearized operator in greenfn works on the same lattice through
+those two methods. The stray-field form pairing(u, w) is the Parseval sum
+(parseval) of the two padded-lattice spectra (spectrum); callers that
+combine spectra linearly, like the path scan, use the same summation. The
+cross-check is a principal-value singular integral split at a scale delta,
+with the inner part written as a symmetrized second difference (removable
+singularity) and the outer part closed in form beyond the grid using the
+constant extension of the input. The H^(1/2) seminorm oracle for the pairing
+is a double-trapezoid sum of the real-space kernel 1/(x-y)^2, evaluated as
+Toeplitz products in O(n log n); it does not use the padded lattice or |k|.
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
@@ -26,7 +27,7 @@ import scipy.fft
 import scipy.linalg
 
 from .errors import TailTooLargeError
-from .model import Grid
+from .model import Grid, trapezoid_weights
 
 __all__ = [
     "HalfLaplacianOperator",
@@ -62,14 +63,18 @@ class HalfLaplacianOperator:
     def _offset(self) -> int:
         return (self.padded_len - self.grid.n) // 2
 
-    def pad(self, u: np.ndarray) -> np.ndarray:
-        """Embed grid samples in the zero-padded window."""
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """Real-FFT spectrum of grid samples embedded in the zero-padded
+        window."""
+        if np.shape(v) != (self.grid.n,):
+            raise ValueError(f"sample length {np.shape(v)} does not match grid n={self.grid.n}")
         buf = np.zeros(self.padded_len)
-        buf[self._offset : self._offset + self.grid.n] = u
-        return buf
+        buf[self._offset : self._offset + self.grid.n] = v
+        return np.fft.rfft(buf)
 
-    def crop(self, buf: np.ndarray) -> np.ndarray:
-        """Grid samples of a function on the padded window."""
+    def inverse(self, spec: np.ndarray) -> np.ndarray:
+        """Grid samples of the inverse real FFT of a lattice spectrum."""
+        buf = np.fft.irfft(spec, self.padded_len)
         return buf[self._offset : self._offset + self.grid.n]
 
 
@@ -90,8 +95,6 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     decay at the grid ends.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (op.grid.n,):
-        raise ValueError(f"sample length {u.shape} does not match grid n={op.grid.n}")
     v = u - 0.5 * (u[0] + u[-1])
     tail = max(abs(v[0]), abs(v[-1]))
     if tail > TAIL_TOL:
@@ -99,12 +102,12 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
             f"|input| at the grid ends is {tail:.3g} > {TAIL_TOL:.3g}; "
             "nonlocal operators expect u = sin(theta) - h"
         )
-    return np.fft.rfft(op.pad(v))
+    return op.transform(v)
 
 
 def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Half-Laplacian by zero-padded FFT with multiplier |k|."""
-    return op.crop(np.fft.irfft(spectrum(op, u) * op.wavenumbers, op.padded_len))
+    return op.inverse(spectrum(op, u) * op.wavenumbers)
 
 
 def default_delta(nu: float) -> float:
@@ -145,16 +148,12 @@ def apply_quadrature(
     inner_vals = (2.0 * ui - u[x_index + j] - u[x_index - j]) / (j * dx) ** 2
     at_zero = -(u[x_index + 1] - 2.0 * ui + u[x_index - 1]) / dx**2
     inner = np.concatenate(([at_zero], inner_vals))
-    weights = np.full(m + 1, dx)
-    weights[0] = weights[-1] = 0.5 * dx
-    inner_term = float(np.dot(weights, inner))
+    inner_term = float(np.dot(trapezoid_weights(m + 1, dx), inner))
 
     # outer part over the grid: trapezoid on y <= x - delta and y >= x + delta
     def outer_sum(idx: np.ndarray) -> float:
         vals = (ui - u[idx]) / (xi - x[idx]) ** 2
-        w = np.full(len(idx), dx)
-        w[0] = w[-1] = 0.5 * dx
-        return float(np.dot(w, vals))
+        return float(np.dot(trapezoid_weights(len(idx), dx), vals))
 
     left = np.arange(0, x_index - m + 1)
     right = np.arange(x_index + m, n)
@@ -203,8 +202,7 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     n, dx, L = grid.n, grid.spacing, grid.half_width
     x = grid.nodes
     v = u - 0.5 * (u[0] + u[-1])
-    wt = np.full(n, dx)
-    wt[0] = wt[-1] = 0.5 * dx
+    wt = trapezoid_weights(n, dx)
     # diagonal: limit is u'(x)^2
     diagonal = float(np.dot(wt * wt, np.gradient(v, dx) ** 2))
     kernel = np.zeros(n)

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import MultipleCrossingsError, NoCrossingError
 
+BUMP_AMPLITUDE = 0.1
+BUMP_RADIUS = 5.0
+
 __all__ = [
     "ModelParams",
     "Grid",
@@ -26,6 +29,8 @@ __all__ = [
     "EnergyBreakdown",
     "make_params",
     "make_grid",
+    "trapezoid_weights",
+    "tail_window",
     "make_initial_profile",
     "recenter",
     "reflect_compose",
@@ -117,6 +122,20 @@ def make_grid(n: int, half_width: float) -> Grid:
     return Grid(n=n, half_width=float(half_width), spacing=float(nodes[1] - nodes[0]), nodes=nodes)
 
 
+def trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Trapezoid-rule weights of n uniformly spaced nodes."""
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
+    return w
+
+
+def tail_window(grid: Grid) -> tuple[tuple[float, float], np.ndarray]:
+    """The window [0.5 L, 0.9 L] where the x^2 tail plateau is read, and
+    the mask of the grid nodes inside it."""
+    lo, hi = 0.5 * grid.half_width, 0.9 * grid.half_width
+    return (lo, hi), (grid.nodes >= lo) & (grid.nodes <= hi)
+
+
 def _template(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """Smooth monotone ramp matching the constants of eta-type comparison
     profiles: pi - theta_h for x < -1, theta_h for x > 1, pi/2 at 0."""
@@ -127,6 +146,8 @@ def _template(x: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _kink(x: np.ndarray, params: ModelParams, width: float) -> np.ndarray:
+    if width <= 0:
+        raise ValueError("kink width must be positive")
     th = params.theta_h
     return th + (math.pi - 2.0 * th) * (2.0 / math.pi) * np.arctan(np.exp(-x / width))
 
@@ -136,8 +157,6 @@ def make_initial_profile(
     params: ModelParams,
     kind: str = "template",
     width: float = 1.0,
-    amplitude: float = 0.1,
-    bump_radius: float = 5.0,
     seed: int = 0,
 ) -> WallProfile:
     """Build an admissible starting profile.
@@ -145,29 +164,26 @@ def make_initial_profile(
     kind:
       * ``template``  -- smooth monotone ramp, constant outside [-1, 1].
       * ``kink``      -- arctan profile of the given width.
-      * ``perturbed`` -- kink plus a compactly supported even bump with
-        seeded random cosine coefficients, clamped to [theta_h, pi-theta_h].
+      * ``perturbed`` -- kink plus an even bump of radius BUMP_RADIUS and
+        size BUMP_AMPLITUDE with seeded random cosine coefficients, clamped
+        to [theta_h, pi-theta_h].
     """
     x = grid.nodes
     th = params.theta_h
     if kind == "template":
         theta = _template(x, params)
     elif kind == "kink":
-        if width <= 0:
-            raise ValueError("kink width must be positive")
         theta = _kink(x, params, width)
     elif kind == "perturbed":
-        if width <= 0:
-            raise ValueError("kink width must be positive")
         theta = _kink(x, params, width)
         rng = np.random.default_rng(seed)
         coeffs = rng.uniform(-1.0, 1.0, size=3)
-        r = np.clip(np.abs(x) / bump_radius, 0.0, 1.0)
+        r = np.clip(np.abs(x) / BUMP_RADIUS, 0.0, 1.0)
         window = np.cos(0.5 * math.pi * r) ** 2
         bump = np.zeros_like(x)
         for j, c in enumerate(coeffs):
-            bump += c * np.cos((j + 1) * math.pi * np.abs(x) / bump_radius)
-        theta = theta + amplitude * window * bump / max(1.0, np.abs(coeffs).sum())
+            bump += c * np.cos((j + 1) * math.pi * np.abs(x) / BUMP_RADIUS)
+        theta = theta + BUMP_AMPLITUDE * window * bump / max(1.0, np.abs(coeffs).sum())
         theta = np.clip(theta, th, math.pi - th)
     else:
         raise ValueError(f"unknown profile kind {kind!r}")

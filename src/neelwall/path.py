@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy_parts, trapezoid_weights
+from .energy import energy_parts
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, parseval, spectrum
-from .model import Grid, WallProfile
+from .model import Grid, WallProfile, trapezoid_weights
 
 __all__ = [
     "PathPoint",
@@ -40,6 +40,7 @@ __all__ = [
 RECENTRE_TOL = 1e-8
 CLAMP_SLACK = 1e-15
 DEFAULT_T_POINTS = 41
+DIFFERENCE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,6 @@ def uniqueness_certificate(
     p2: WallProfile,
     op: HalfLaplacianOperator | None = None,
     grad_tol: float = 1e-6,
-    difference_tol: float = 1e-5,
 ) -> CertificateVerdict:
     """Convexity-based coincidence test for two candidate solutions.
 
@@ -270,8 +270,8 @@ def uniqueness_certificate(
     If f'' > 0 throughout and both endpoint derivatives vanish (within
     10 * grad_tol * path velocity norm), convexity forces the profiles to
     coincide; the verdict cross-checks this against sup|theta_1 - theta_2|
-    and flags CONTRADICTION when they disagree, which would indicate an
-    implementation fault rather than a counterexample.
+    <= DIFFERENCE_TOL and flags CONTRADICTION when they disagree, which
+    would indicate an implementation fault rather than a counterexample.
     """
     _require_pair(p1, p2)
     op = op or make_operator(p1.grid)
@@ -286,7 +286,7 @@ def uniqueness_certificate(
     if identical:
         verdict = "COINCIDE"
     elif abs(fp0) <= deriv_tol and abs(fp1) <= deriv_tol and min_fpp > 0.0:
-        verdict = "COINCIDE" if sup_diff <= difference_tol else "CONTRADICTION"
+        verdict = "COINCIDE" if sup_diff <= DIFFERENCE_TOL else "CONTRADICTION"
     else:
         verdict = "NOT_BOTH_SOLUTIONS"
     return CertificateVerdict(
@@ -296,7 +296,7 @@ def uniqueness_certificate(
         f_prime_at_1=fp1,
         sup_difference=sup_diff,
         derivative_tol=deriv_tol,
-        difference_tol=difference_tol,
+        difference_tol=DIFFERENCE_TOL,
         identical_inputs=identical,
         points=points,
     )

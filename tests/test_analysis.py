@@ -13,6 +13,7 @@ from neelwall import (
     make_initial_profile,
     make_operator,
     make_params,
+    oracle,
     reflect_compose,
     symmetry_defect,
     tail_decay_check,
@@ -158,6 +159,16 @@ def test_stray_crosscheck_fails_on_a_foreign_operator(solved):
     report = verify(p, op)
     assert not report["checks"]["stray_crosscheck"]["passed"]
     assert not report["passed"]
+
+
+def test_oracle_gates():
+    # at n = 4097 the padded lattice's periodic images put the Lorentzian's
+    # seminorm gap at 1.047e-4, just over the gate; at n = 2049 all pass
+    report = oracle(make_grid(4097, 40.0))
+    failed = [name for name, check in report["checks"].items() if not check["passed"]]
+    assert failed == ["seminorm_identity"] and not report["passed"]
+    assert report["checks"]["seminorm_identity"]["gaps"]["lorentzian"] == pytest.approx(1.047e-4, rel=1e-3)
+    assert oracle(make_grid(2049, 40.0))["passed"]
 
 
 def test_verify_local_limit_runs_seven_checks(solved):

@@ -246,6 +246,19 @@ def test_oracle(capsys):
     assert "oracle: PASS" in capsys.readouterr().out
 
 
+def test_oracle_ignores_nu(capsys):
+    # the oracle's corpus and quadrature split do not depend on the model
+    code = run(["oracle", "--n", "2049"])
+    out = capsys.readouterr().out
+    assert run(["oracle", "--nu", "0", "--n", "2049"]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_oracle_grid_too_small(capsys):
+    assert run(["oracle", "--n", "17", "--half-width", "1"]) == 1
+    assert "quadrature window" in capsys.readouterr().err
+
+
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 257\nhalf_width = 20  # trailing comment\nnu = 2.0\ngrad_tol = 1e-5\n")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,11 +9,16 @@ from neelwall import (
     apply_quadrature,
     apply_spectral,
     make_grid,
+    make_initial_profile,
     make_operator,
+    make_params,
+    minimize,
     pairing,
+    path_scan,
     seminorm_double_integral,
+    verify,
 )
-from neelwall.cli import _oracle_corpus
+from neelwall.analysis import _oracle_corpus
 from neelwall.energy import trapezoid_weights
 from neelwall.halflap import default_delta
 
@@ -136,3 +142,22 @@ def test_seminorm_gap_is_the_periodic_image_bias(n):
         bias = -math.pi * float(np.dot(trapezoid_weights(n, grid.spacing), v)) ** 2 / (3 * period**2)
         qd = seminorm_double_integral(u, grid)
         assert abs(pairing(op, u, u) - bias - qd) / qd <= 1.5e-5, name
+
+
+def test_only_halflap_calls_the_fft(solved, monkeypatch):
+    # every padded-lattice transform, the Green function's included, goes
+    # through HalfLaplacianOperator
+    callers = set()
+    for name in ("rfft", "irfft"):
+
+        def traced(*args, _fft=getattr(np.fft, name), **kwargs):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, traced)
+    params = make_params(1.0, 0.25)
+    p, report = minimize(make_initial_profile(make_grid(513, 40.0), params))
+    assert report.converged
+    assert "reconstruction" in verify(p)["checks"]
+    path_scan(p, solved(1.0, 0.25, kind="perturbed")[0])
+    assert callers == {"neelwall.halflap"}
