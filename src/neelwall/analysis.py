@@ -196,7 +196,7 @@ def tail_decay_check(p: WallProfile) -> bool:
         )
         sup_all = float(np.max(np.abs(vals)))
         sup_outer = float(np.max(np.abs(vals[outer])))
-        if sup_outer * TAIL_DECAY_FACTOR > sup_all:
+        if not sup_outer * TAIL_DECAY_FACTOR <= sup_all:  # so a NaN fails
             return False
     return True
 
@@ -281,7 +281,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     mono_ok, mono_violation = check_monotone(p)
     bounds = _bounds(p, eb.total, v)
     th = p.params.theta_h
-    boundary = max(abs(p.theta[0] - (math.pi - th)), abs(p.theta[-1] - th))
+    boundary = np.max(np.abs([p.theta[0] - (math.pi - th), p.theta[-1] - th]))  # NaN-propagating
     checks = {
         "boundary": _gate("max_defect", float(boundary), VERIFY_BOUNDARY_TOL),
         "el_residual": _gate("max", float(np.max(np.abs(grad[1:-1] / p.grid.spacing))), VERIFY_EL_TOL),

@@ -1,7 +1,9 @@
 """Command-line interface: solve, verify, path, sweep, oracle.
 
 Configuration precedence is flags over config-file keys over built-in
-defaults; the config file is flat `key = value` text. Each command only
+defaults; the config file is flat `key = value` text. FLAGS gives each
+key's type and default and COMMANDS the keys each command reads; a flag or
+config key a command does not read is a usage error. Each command only
 reads its inputs and writes or prints what the library returns; verify
 and oracle take every gate from analysis. All file outputs are written
 atomically (temp file + rename). Exit codes: 0 ok, 1 usage or config
@@ -30,16 +32,29 @@ from .model import (
     write_text_atomic,
 )
 
-DEFAULTS = {
-    "nu": 1.0,
-    "h": 0.0,
-    "n": 4097,
-    "half_width": 40.0,
-    "grad_tol": 1e-6,
-    "max_iter": 200_000,
-    "init": "template",
-    "seed": 0,
-    "out_dir": ".",
+INIT_KINDS = ("template", "kink", "perturbed")
+
+# key: (type, default, allowed values or None); the flag --half-width sets
+# the key half_width, and a config file names keys
+FLAGS = {
+    "nu": (float, 1.0, None),
+    "h": (float, 0.0, None),
+    "n": (int, 4097, None),
+    "half_width": (float, 40.0, None),
+    "grad_tol": (float, 1e-6, None),
+    "max_iter": (int, 200_000, None),
+    "init": (str, "template", INIT_KINDS),
+    "seed": (int, 0, None),
+    "out_dir": (str, ".", None),
+}
+
+# the keys each command reads; it takes no other flag or config key
+COMMANDS = {
+    "solve": tuple(FLAGS),
+    "verify": ("seed", "out_dir"),
+    "path": ("grad_tol", "out_dir"),
+    "sweep": ("n", "half_width", "grad_tol", "max_iter", "init", "out_dir"),
+    "oracle": ("n", "half_width", "seed"),
 }
 
 EXIT_OK = 0
@@ -53,56 +68,42 @@ def _write_json_atomic(path: str, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
+    """The keys of a flat `key = value` file, each converted with its flag's
+    type. A key `command` does not read, or a bad value, names file:line."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{where}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value
+            if key not in COMMANDS[command]:
+                raise ValueError(f"{where}: unknown key {key!r} for {command}")
+            kind, _, choices = FLAGS[key]
+            try:
+                cfg[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{where}: invalid {key} value {value!r}") from None
+            if choices and value not in choices:
+                raise ValueError(f"{where}: {key} must be one of {', '.join(choices)}")
     return cfg
 
 
-def _coerce(key: str, value):
-    kind = type(DEFAULTS[key])
-    if kind is float:
-        return float(value)
-    if kind is int:
-        return int(value)
-    return str(value)
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in _read_config(args.config).items():
-            cfg[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
-
-
-def _options(cfg: dict) -> solver.SolveOptions:
-    return solver.SolveOptions(grad_tol=cfg["grad_tol"], max_iter=cfg["max_iter"])
+def _options(args: argparse.Namespace) -> solver.SolveOptions:
+    return solver.SolveOptions(grad_tol=args.grad_tol, max_iter=args.max_iter)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    params = make_params(cfg["nu"], cfg["h"])
-    grid = make_grid(cfg["n"], cfg["half_width"])
-    opts = _options(cfg)
-    out = cfg["out_dir"]
+    params = make_params(args.nu, args.h)
+    grid = make_grid(args.n, args.half_width)
+    out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    p0 = make_initial_profile(grid, params, kind=cfg["init"], seed=cfg["seed"])
-    p, report = solver.minimize(p0, opts)
+    p0 = make_initial_profile(grid, params, kind=args.init, seed=args.seed)
+    p, report = solver.minimize(p0, _options(args))
     prof_path = os.path.join(out, "profile.txt")
     save_profile(prof_path, p)
     _write_json_atomic(os.path.join(out, "energy.json"), report.final_energy.as_dict())
@@ -127,10 +128,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg["out_dir"]
+    out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    result = analysis.verify(load_profile(args.profile), seed=cfg["seed"])
+    result = analysis.verify(load_profile(args.profile), seed=args.seed)
     _write_json_atomic(os.path.join(out, "verify.json"), {"profile": args.profile, **result})
     for name, c in result["checks"].items():
         print(f"{'PASS' if c['passed'] else 'FAIL'} {name}")
@@ -138,12 +138,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg["out_dir"]
+    out = args.out_dir
     os.makedirs(out, exist_ok=True)
     p1 = recenter(load_profile(args.profile_a))
     p2 = recenter(load_profile(args.profile_b))
-    verdict = pathmod.uniqueness_certificate(p1, p2, grad_tol=cfg["grad_tol"])
+    verdict = pathmod.uniqueness_certificate(p1, p2, grad_tol=args.grad_tol)
     write_text_atomic(os.path.join(out, "path.csv"), "".join(pathmod.path_csv_lines(verdict.points)))
     _write_json_atomic(os.path.join(out, "certificate.json"), verdict.as_dict())
     print(
@@ -154,19 +153,21 @@ def cmd_path(args: argparse.Namespace) -> int:
     return EXIT_CONTRADICTION if verdict.verdict == "CONTRADICTION" else EXIT_OK
 
 
-def _parse_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(flag: str, text: str) -> list[float]:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{flag} names no value")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    nus = _parse_list(args.nu_list)
-    hs = _parse_list(args.h_list)
+    nus = _parse_list("--nu-list", args.nu_list)
+    hs = _parse_list("--h-list", args.h_list)
     params_list = [make_params(nu, h) for nu in nus for h in hs]
-    grid = make_grid(cfg["n"], cfg["half_width"])
-    rows = solver.sweep(params_list, grid, _options(cfg), init=cfg["init"])
+    grid = make_grid(args.n, args.half_width)
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
+    rows = solver.sweep(params_list, grid, _options(args), init=args.init)
     write_text_atomic(os.path.join(out, "sweep.csv"), "".join(solver.sweep_csv_lines(rows)))
     for r in rows:
         status = "ok" if r.converged else (r.error or "not converged")
@@ -176,8 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    result = analysis.oracle(make_grid(cfg["n"], cfg["half_width"]), seed=cfg["seed"])
+    result = analysis.oracle(make_grid(args.n, args.half_width), seed=args.seed)
     for key, check in result["checks"].items():
         label = key.replace("_", " ")
         if "gaps" in check:
@@ -189,17 +189,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat key = value config file")
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--half-width", dest="half_width", type=float)
-    sp.add_argument("--grad-tol", dest="grad_tol", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    sp.add_argument("--init", choices=["template", "kink", "perturbed"])
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out-dir", dest="out_dir")
+def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """The subparser of `name`: --config and the flags of the keys it reads.
+    A flag left out sets no attribute, so main can put the config value or
+    the default in its place; flags are matched in full, never by prefix."""
+    sp = sub.add_parser(name, help=summary, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+    sp.add_argument("--config", default=None, help="flat key = value config file")
+    for key in COMMANDS[name]:
+        kind, _, choices = FLAGS[key]
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices)
+    return sp
 
 
 @functools.cache
@@ -211,27 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Neel wall profile solver and verification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="minimize the wall energy and save the profile")
-    _add_common(sp)
-
-    sp = sub.add_parser("verify", help="run structural checks on a saved profile")
+    _add_command(sub, "solve", "minimize the wall energy and save the profile")
+    sp = _add_command(sub, "verify", "run structural checks on a saved profile")
     sp.add_argument("profile", help="profile file written by solve")
-    _add_common(sp)
-
-    sp = sub.add_parser("path", help="convexity certificate between two profiles")
+    sp = _add_command(sub, "path", "convexity certificate between two profiles")
     sp.add_argument("profile_a")
     sp.add_argument("profile_b")
-    _add_common(sp)
-
-    sp = sub.add_parser("sweep", help="solve over a grid of (nu, h) values")
+    sp = _add_command(sub, "sweep", "solve over a grid of (nu, h) values")
     sp.add_argument("--nu-list", default="0.5,1,2,4")
     sp.add_argument("--h-list", default="0,0.25,0.5,0.75")
-    _add_common(sp)
-
-    sp = sub.add_parser("oracle", help="operator and seminorm cross-validation suite")
-    _add_common(sp)
-
+    _add_command(sub, "oracle", "operator and seminorm cross-validation suite")
     return parser
 
 
@@ -241,16 +229,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
-    # read from the module at call time, so a rebound cmd_* is the one run
-    commands = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "path": cmd_path,
-        "sweep": cmd_sweep,
-        "oracle": cmd_oracle,
-    }
     try:
-        return commands[args.command](args)
+        # flags over config keys over defaults, for the keys the command reads
+        values = {key: FLAGS[key][1] for key in COMMANDS[args.command]}
+        if args.config:
+            values.update(_read_config(args.config, args.command))
+        values.update(vars(args))
+        # read from the module at call time, so a rebound cmd_* is the one run
+        return globals()["cmd_" + args.command](argparse.Namespace(**values))
     except (NeelWallError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -264,7 +264,8 @@ def save_profile(path, p: WallProfile) -> None:
 
 def load_profile(path) -> WallProfile:
     """Read a profile written by :func:`save_profile`; its x column must be
-    exactly the nodes of the grid named in the header."""
+    exactly the nodes of the grid named in the header, and every x and theta
+    finite."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -285,6 +286,9 @@ def load_profile(path) -> WallProfile:
         data = np.loadtxt(fh)
     if data.shape != (n, 2):
         raise ValueError(f"expected {n} rows of (x, theta), got shape {data.shape}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: data row {bad[0] + 1}, (x, theta) = {data[bad[0]].tolist()}, is not finite")
     grid = make_grid(n, half_width)
     if not np.array_equal(data[:, 0], grid.nodes):
         raise ValueError(f"x column does not match the n={n}, L={half_width:.17g} grid nodes")

@@ -189,6 +189,20 @@ def test_boundary_gate_passes_on_initial_and_solved_profiles(solved, kind):
         assert verify(q)["checks"]["boundary"] == {"max_defect": 0.0, "tol": 1e-12, "passed": True}
 
 
+@pytest.mark.parametrize("node", [200, -1])
+def test_boundary_and_tail_decay_fail_on_nan(solved, node):
+    # max(a, nan) is a and nan * 100 > nan is False, so comparisons that let
+    # a NaN through would pass both gates
+    p, _ = solved(1.0, 0.25)
+    theta = p.theta.copy()
+    theta[node] = math.nan
+    checks = verify(p.with_theta(theta))["checks"]
+    assert not checks["tail_decay"]["passed"]
+    assert checks["boundary"]["passed"] is (node != -1)
+    if node == -1:
+        assert math.isnan(checks["boundary"]["max_defect"])
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of the package function `name` made through any module."""
     calls = []

@@ -1,6 +1,9 @@
+import argparse
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +158,17 @@ def test_profile_header_bad_token_exits_1(solved_dir, tmp_path, capsys):
     assert "token 'L'" in capsys.readouterr().err
 
 
+def test_profile_with_a_non_finite_node_exits_1(solved_dir, tmp_path, capsys):
+    # a NaN node would reach every figure that verify and path report
+    lines = (solved_dir / "profile.txt").read_text().splitlines(keepends=True)
+    lines[100] = f"{lines[100].split()[0]} nan\n"
+    bad = tmp_path / "nan.txt"
+    bad.write_text("".join(lines))
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(solved_dir / "profile.txt"), str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("data row 100,") == 2
+
+
 def test_verify_json_green_checks_match_separate_solves(solved_dir, tmp_path):
     # verify shares op's lattice and one a G + G * f solve between the two
     # Green checks; a fresh lattice and one solve per check give the same bits
@@ -227,6 +241,13 @@ def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
     assert cert["verdict"] == "COINCIDE"
 
 
+@pytest.mark.parametrize("lists", [["--nu-list", ""], ["--nu-list", ","], ["--h-list", " , "]])
+def test_sweep_with_an_empty_list_exits_1(lists, tmp_path, capsys):
+    assert run(["sweep", *lists, "--out-dir", str(tmp_path / "out")] + FAST) == 1
+    assert "names no value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_csv(tmp_path):
     argv = (
         ["sweep", "--nu-list", "0,1", "--h-list", "0,0.5", "--out-dir", str(tmp_path)]
@@ -246,12 +267,23 @@ def test_oracle(capsys):
     assert "oracle: PASS" in capsys.readouterr().out
 
 
-def test_oracle_ignores_nu(capsys):
-    # the oracle's corpus and quadrature split do not depend on the model
-    code = run(["oracle", "--n", "2049"])
-    out = capsys.readouterr().out
-    assert run(["oracle", "--nu", "0", "--n", "2049"]) == code
-    assert capsys.readouterr().out == out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--nu", "0"],
+        ["oracle", "--out-dir", "d"],
+        ["sweep", "--seed", "3"],
+        ["sweep", "--nu", "2"],
+        ["verify", "profile.txt", "--nu", "2"],
+        ["path", "a.txt", "b.txt", "--n", "257"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # a prefix of a flag the command does read (--nu of --nu-list) is not taken for it
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_grid_too_small(capsys):
@@ -270,11 +302,47 @@ def test_config_precedence(tmp_path):
     assert len([ln for ln in prof.splitlines() if not ln.startswith("#")]) == 257
 
 
-def test_config_unknown_key(tmp_path):
+def test_config_unknown_key(solved_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     for text in ("bogus = 1\n", "method = quasi_newton\n"):
         cfg.write_text(text)
         assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    # a key of another command: verify reads nu from the profile header
+    cfg.write_text("nu = 2\n")
+    assert run(["verify", str(solved_dir / "profile.txt"), "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "init = bogus")])
+def test_config_bad_value_names_file_and_line(command, text, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# a comment\n{text}\n")
+    assert run(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{cfg}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_sets_the_keys_of_verify(solved_dir, tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"seed = 3\nout_dir = {tmp_path / 'out'}\n")
+    prof = solved_dir / "profile.txt"
+    assert run(["verify", str(prof), "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["checks"] == verify(load_profile(prof), seed=3)["checks"]
+
+
+def test_readme_lists_each_commands_flags_and_config_keys():
+    # the README's table is the documented flag set; it must be the parser's
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [ln.strip().strip("|").split("|") for ln in text.splitlines() if ln.startswith("| `")]
+    documented = {
+        cells[0].strip().strip("`"): (set(re.findall(r"`(--[a-z-]+)`", cells[1])), re.findall(r"`([a-z_]+)`", cells[2]))
+        for cells in rows
+    }
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(documented) == set(sub.choices)
+    for name, sp in sub.choices.items():
+        flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        assert documented[name] == (flags, list(cli.COMMANDS[name])), name
 
 
 def test_invalid_parameter(tmp_path):

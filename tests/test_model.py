@@ -202,6 +202,20 @@ def test_load_profile_rejects_foreign_x_column(tmp_path):
         load_profile(path)
 
 
+@pytest.mark.parametrize("row, column, value", [(5, 1, "nan"), (1, 0, "-inf"), (257, 1, "inf")])
+def test_load_profile_names_a_non_finite_row(tmp_path, row, column, value):
+    grid = make_grid(257, 40.0)
+    path = tmp_path / "profile.txt"
+    save_profile(path, make_initial_profile(grid, make_params(1.0, 0.3), kind="kink"))
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[row].split()
+    cells[column] = value
+    lines[row] = " ".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"data row {row},.* is not finite"):
+        load_profile(path)
+
+
 def test_load_profile_names_a_missing_header_key(tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("# nu=1 h=0 n=17\n")
