@@ -8,12 +8,15 @@ reads its inputs and writes or prints what the library returns; verify
 and oracle take every gate from analysis. All file outputs are written
 atomically (temp file + rename). Exit codes: 0 ok, 1 usage or config
 error, 2 not converged, 3 verification failure, 4 certificate
-contradiction.
+contradiction. main also sets glibc's heap thresholds once per process
+(_retain_heap), so a solve's arrays are not faulted in anew at every
+evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -223,7 +226,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _retain_heap() -> None:
+    """Keep freed arrays on the heap for the next energy evaluation (glibc).
+
+    Every evaluation allocates and frees the same few padded-lattice arrays
+    (0.26 MB each at n = 8193). Under glibc's default thresholds, which only
+    rise after some large block has been freed, they are mapped fresh or
+    trimmed off the heap each time: ~7000 minor page faults per n = 8193
+    solve in a fresh process. Serving blocks up to 32 MiB from the heap and
+    trimming only past 128 MiB free keeps them resident. A no-op where the
+    C library has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 128 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _retain_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,6 +14,11 @@ constant extension of the input. The H^(1/2) seminorm oracle for the pairing
 is a double-trapezoid sum of the real-space kernel 1/(x-y)^2, evaluated as
 Toeplitz products in O(n log n); it does not use the padded lattice or |k|.
 
+The module is also the package's one caller of numpy's FFT for the other
+transforms it needs: the orthonormal DST-I of the solver's preconditioner
+(dst), the symmetric Toeplitz product of the oracle (toeplitz_product) and
+the choice of fast transform lengths (next_fast_len).
+
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
 
@@ -23,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import TailTooLargeError
 from .model import Grid, trapezoid_weights
@@ -39,6 +42,9 @@ __all__ = [
     "pairing",
     "seminorm_double_integral",
     "default_delta",
+    "next_fast_len",
+    "dst",
+    "toeplitz_product",
 ]
 
 # Transforms are at least this many times longer than the grid, which keeps
@@ -78,10 +84,52 @@ class HalfLaplacianOperator:
         return buf[self._offset : self._offset + self.grid.n]
 
 
+def next_fast_len(target: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c >= target, a length that
+    numpy's (pocketfft) real FFT factors into its fastest radices."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-target // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis,
+    y_k = sqrt(2/(m+1)) sum_j x_j sin(pi (j+1)(k+1)/(m+1)), its own inverse.
+
+    Taken from one rfft of the odd extension (0, x, 0, -reversed x) of
+    length 2(m+1), whose spectrum is -2i times the sine sums.
+    """
+    m = x.shape[-1]
+    buf = np.zeros(x.shape[:-1] + (2 * (m + 1),))
+    buf[..., 1 : m + 1] = x
+    buf[..., m + 2 :] = -x[..., ::-1]
+    return np.fft.rfft(buf)[..., 1 : m + 1].imag * -math.sqrt(0.5 / (m + 1))
+
+
+def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x along the last axis of x, for the symmetric Toeplitz matrix
+    T_ij = column[|i - j|], by embedding T in a circulant of fast length
+    >= 2n - 1: O(n log n)."""
+    n = len(column)
+    size = next_fast_len(2 * n - 1)
+    circulant = np.zeros(size)
+    circulant[:n] = column
+    circulant[size - n + 1 :] = column[:0:-1]
+    spec = np.fft.rfft(circulant) * np.fft.rfft(x, size)
+    return np.fft.irfft(spec, size)[..., :n]
+
+
 def make_operator(grid: Grid) -> HalfLaplacianOperator:
     """Build the padded lattice for a grid, with transform length the
     smallest fast real-FFT size >= 4n."""
-    padded_len = scipy.fft.next_fast_len(PAD_FACTOR * grid.n, real=True)
+    padded_len = next_fast_len(PAD_FACTOR * grid.n)
     k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
     return HalfLaplacianOperator(grid=grid, padded_len=padded_len, wavenumbers=k)
 
@@ -195,7 +243,7 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     corner terms vanish for the zero extension). With weights w and the
     symmetric Toeplitz matrix K_ij = 1/((i-j)dx)^2 (zero diagonal), the
     off-diagonal part of the sum is 2 w.(v^2 Kw) - 2 (wv).(K(wv)); both
-    Toeplitz products come from one matmul_toeplitz call, O(n log n). The
+    Toeplitz products come from one toeplitz_product call, O(n log n). The
     padded lattice and its |k| are not used.
     """
     u = np.asarray(u, dtype=float)
@@ -208,7 +256,7 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     kernel = np.zeros(n)
     kernel[1:] = 1.0 / (np.arange(1, n) * dx) ** 2
     wv = wt * v
-    k_w, k_wv = scipy.linalg.matmul_toeplitz(kernel, np.column_stack((wt, wv))).T
+    k_w, k_wv = toeplitz_product(kernel, np.stack((wt, wv)))
     off_diagonal = 2.0 * float(np.dot(wv * v, k_w)) - 2.0 * float(np.dot(wv, k_wv))
     core = diagonal + off_diagonal
     # tails: for each x in the window, int over |y| > L of v(x)^2/(x-y)^2 dy

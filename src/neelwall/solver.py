@@ -1,7 +1,8 @@
 """Energy minimization over pinned-boundary wall profiles.
 
-The minimizer is limited-memory BFGS (scipy L-BFGS-B) driven by the fused
-energy and exact discrete gradient of the energy module, preconditioned by
+The minimizer is limited-memory BFGS (lbfgs: the two-loop recursion of Liu
+and Nocedal, Math. Prog. 45, 1989) driven by the fused energy and exact
+discrete gradient of the energy module, preconditioned by
 the linearized Hessian M. The boundary values are frozen and the center
 value is pinned at theta(0) = pi/2, so the interior splits into two
 independent Dirichlet blocks of c - 1 nodes each. On each block M, the
@@ -20,7 +21,11 @@ continuum Euler-Lagrange residual scale, not on the energy decrease (which
 cannot resolve steps below ~eps E on fine grids). The pin removes the
 translation degeneracy (the discrete energy is flat along sub-grid
 translations) and is inactive at the symmetric minimizer, where the full
-gradient vanishes. When scipy ends a run short of the tolerance, the run is
+gradient vanishes. The line search of lbfgs accepts a strong Wolfe step,
+or, where rounding hides the decrease, an approximate Wolfe step (Hager and
+Zhang, SIAM J. Optim. 16, 2005) that raises E by at most ROUNDOFF |E|. A run
+ends when an accepted step lowers neither E nor the run's best
+sup|gradient|, or when the line search finds no step; the run is then
 restarted warm with fresh memory, at most MAX_RESTARTS times. The result
 keeps theta(0) = pi/2 and the input's end values exactly.
 """
@@ -28,17 +33,17 @@ keeps theta(0) = pi/2 and the input's end values exactly.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.fft import dst
 
 from . import analysis
 from .energy import energy_and_gradient
 from .errors import WindowTooNoisyError
 from .greenfn import linearized_symbol
-from .halflap import HalfLaplacianOperator, make_operator
+from .halflap import HalfLaplacianOperator, dst, make_operator
 from .model import (
     EnergyBreakdown,
     Grid,
@@ -52,14 +57,23 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "SweepRow",
+    "LbfgsResult",
+    "lbfgs",
     "minimize",
     "sweep",
     "sweep_csv_lines",
 ]
 
 LBFGS_MEMORY = 30
-# warm restarts with fresh memory after scipy stops short of the tolerance
+# warm restarts with fresh memory after a run ends short of the tolerance
 MAX_RESTARTS = 8
+# line search: sufficient decrease and curvature constants of the Wolfe
+# conditions, the energy rise the approximate Wolfe test forgives as
+# rounding (relative to |E|), and the evaluations one search may take
+WOLFE_DECREASE = 1e-4
+WOLFE_CURVATURE = 0.9
+ROUNDOFF = 1e-13
+LINE_SEARCH_EVALS = 20
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,7 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one minimize. iterations and evaluations are summed over
-    the L-BFGS runs (scipy's nit and nfev, plus one evaluation when the last
+    the L-BFGS runs (their nit and nfev, plus one evaluation when the last
     run returned a point it had not evaluated last); restarts counts the
     warm restarts after the first run; stop is why the solve ended:
     "grad_tol" (the full gradient met the tolerance), "max_iter" (the
@@ -108,6 +122,128 @@ def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
     return (dx * linearized_symbol(params, k, k2)) ** -0.5
 
 
+@dataclass(frozen=True)
+class LbfgsResult:
+    """Where one lbfgs run ended: its last accepted point x, the iterations
+    (accepted steps) nit and the function evaluations nfev it took."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+
+
+def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """The L-BFGS direction -H g from the stored (s, y, 1/s.y) pairs, with
+    the initial inverse Hessian s.y/y.y of the newest pair (1 without one)."""
+    d = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ d))
+        d = d - alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        d = d / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d = d + (alpha - rho * (y @ d)) * s
+    return d
+
+
+def _cubic_step(lo: tuple, hi: tuple) -> float:
+    """Minimizer of the cubic through the (t, f, slope) triples lo and hi,
+    kept in the middle 80 % of the bracket; the midpoint when the cubic has
+    no usable minimizer there."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    lo_end, hi_end = min(a, b), max(a, b)
+    margin = 0.1 * (hi_end - lo_end)
+    if disc >= 0.0:
+        d2 = math.copysign(math.sqrt(disc), b - a)
+        denom = db - da + 2.0 * d2
+        t = b - (b - a) * (db + d2 - d1) / denom if denom else math.nan
+        if lo_end + margin <= t <= hi_end - margin:
+            return t
+    return 0.5 * (a + b)
+
+
+def _line_search(fg, x, f0, d, slope0, done):
+    """Step t along the descent direction d from (x, f0), slope0 = g.d < 0.
+
+    Trials start at t = 1, widen fourfold until a bracket is found and then
+    zoom by safeguarded cubic interpolation (Nocedal and Wright, Numerical
+    Optimization, 2nd ed., alg. 3.5-3.6). A trial is accepted when the slope
+    has shrunk to |g.d| <= WOLFE_CURVATURE |slope0| and E meets either the
+    sufficient decrease condition or E <= f0 + ROUNDOFF |f0|, or when done()
+    holds after its evaluation. Returns ((x_t, f_t, g_t) or None, the
+    number of evaluations).
+    """
+    lo, hi = (0.0, f0, slope0), None
+    t = 1.0
+    for evals in range(1, LINE_SEARCH_EVALS + 1):
+        xt = x + t * d
+        f, g = fg(xt)
+        slope = float(g @ d)
+        decrease = f <= f0 + WOLFE_DECREASE * t * slope0
+        if done() or (
+            abs(slope) <= -WOLFE_CURVATURE * slope0
+            and (decrease or f <= f0 + ROUNDOFF * abs(f0))
+        ):
+            return (xt, f, g), evals
+        if not decrease or f >= lo[1]:
+            hi = (t, f, slope)
+        else:
+            if slope * ((math.inf if hi is None else hi[0]) - lo[0]) >= 0:
+                hi = lo
+            lo = (t, f, slope)
+        t = 4.0 * lo[0] if hi is None else _cubic_step(lo, hi)
+    return None, LINE_SEARCH_EVALS
+
+
+def lbfgs(
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    max_iter: int,
+    done: Callable[[], bool],
+) -> LbfgsResult:
+    """Minimize f from x0 by L-BFGS, fg(x) returning (f, gradient).
+
+    The direction comes from the two-loop recursion over the last
+    LBFGS_MEMORY steps, and each line search tries the unit step along it
+    first (on the first iteration, the plain gradient step, which suits
+    coordinates preconditioned to a near-identity Hessian). The run ends
+    after max_iter accepted steps, when done() holds after an
+    evaluation, when the direction is not one of descent (a zero gradient),
+    when the line search finds no step, or when an accepted step lowers
+    neither f nor the run's best sup|gradient|.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fg(x)
+    nfev, nit = 1, 0
+    best = float(np.max(np.abs(g)))
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
+    while nit < max_iter and not done():
+        d = _two_loop(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        step, evals = _line_search(fg, x, f, d, slope, done)
+        nfev += evals
+        if step is None:
+            break
+        nit += 1
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        gnorm = float(np.max(np.abs(g_new)))
+        progress = f_new < f or gnorm < best
+        x, f, g, best = x_new, f_new, g_new, min(best, gnorm)
+        if not progress:
+            break
+    return LbfgsResult(x=x, nit=nit, nfev=nfev)
+
+
 def minimize(
     p0: WallProfile,
     opts: SolveOptions | None = None,
@@ -117,9 +253,9 @@ def minimize(
 
     p0 is recentred once, and the center value is then pinned at pi/2. One
     loop of preconditioned L-BFGS runs on the DST-I coefficients of the two
-    blocks. The callback ends a run once an evaluation has met the full
+    blocks. Its done() test ends a run once an evaluation has met the full
     sup|g|/dx <= grad_tol, center node included, and that first such point
-    is the result. A run that scipy ends short of the tolerance is restarted
+    is the result. A run that ends short of the tolerance is restarted
     warm from its last point with fresh memory, at most MAX_RESTARTS times,
     with the iterations left of max_iter. The report carries the final
     gradient norm, energy breakdown and stop reason. Raises NoCrossingError
@@ -138,7 +274,7 @@ def minimize(
 
     def to_theta(z: np.ndarray) -> np.ndarray:
         full = start.copy()
-        full[free] += dst(scale * z.reshape(2, -1), type=1, norm="ortho", axis=-1).ravel()
+        full[free] += dst(scale * z.reshape(2, -1)).ravel()
         return full
 
     last, hit = {}, {}
@@ -146,34 +282,17 @@ def minimize(
     def fg(z: np.ndarray):
         theta = to_theta(z)
         eb, g = energy_and_gradient(p.with_theta(theta), op)
-        last.update(z=z.copy(), theta=theta, eb=eb, g=g)
+        last.update(z=z, theta=theta, eb=eb, g=g)
         if not hit and _grad_norm(g, dx) <= opts.grad_tol:
             hit.update(last)
-        gz = scale * dst(g[free].reshape(2, -1), type=1, norm="ortho", axis=-1)
+        gz = scale * dst(g[free].reshape(2, -1))
         return eb.total, gz.ravel()
-
-    def stop(z: np.ndarray) -> None:
-        if hit:
-            raise StopIteration
 
     x0 = np.zeros(len(free))
     iterations = evaluations = restarts = 0
     stop_reason = None
     while stop_reason is None:
-        res = scipy.optimize.minimize(
-            fg,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=stop,
-            options=dict(
-                maxiter=opts.max_iter - iterations,
-                maxcor=LBFGS_MEMORY,
-                gtol=0.0,
-                ftol=1e-22,
-                maxls=100,
-            ),
-        )
+        res = lbfgs(fg, x0, opts.max_iter - iterations, done=lambda: bool(hit))
         iterations += res.nit
         evaluations += res.nfev
         x0 = res.x

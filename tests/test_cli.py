@@ -2,7 +2,10 @@ import argparse
 import json
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -386,3 +389,57 @@ def test_main_dispatches_through_the_module_attribute(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args.nu) or 0)
     assert run(["solve", "--nu", "3", "--out-dir", str(tmp_path)] + FAST) == 0
     assert seen == [3.0]
+
+
+def _run_script(script: str) -> str:
+    """Standard output of a fresh interpreter running script with this
+    package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a command's start-up is the import of numpy and the package; importing
+    # scipy's optimize, fft and linalg would cost ~0.45 s more
+    d = str(tmp_path)
+    script = f"""
+import json, sys
+from neelwall.cli import main
+tiny = ["--n", "65", "--half-width", "10"]
+prof = {d!r} + "/a/profile.txt"
+codes = [
+    main(["solve", *tiny, "--out-dir", {d!r} + "/a"]),
+    main(["verify", prof, "--out-dir", {d!r} + "/v"]),
+    main(["path", prof, prof, "--out-dir", {d!r} + "/p"]),
+    main(["sweep", "--nu-list", "1", "--h-list", "0", *tiny, "--out-dir", {d!r} + "/s"]),
+    main(["oracle", "--n", "65"]),
+]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    codes, scipy_modules = json.loads(_run_script(script).splitlines()[-1])
+    # verify and oracle may fail a gate (exit 3) on so coarse a grid, after
+    # every check has run
+    assert codes[0] == codes[2] == codes[3] == 0 and codes[1] in (0, 3) and codes[4] in (0, 3)
+    assert scipy_modules == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes the glibc allocator")
+def test_repeated_solves_keep_the_lattice_arrays_resident(tmp_path):
+    # without the allocator thresholds main sets, each later n = 4097 solve
+    # of a fresh process takes ~1600-2700 minor page faults, as the arrays
+    # freed after one evaluation are trimmed and faulted back in by the next
+    script = f"""
+import contextlib, io, resource
+from neelwall.cli import main
+faults = []
+for k in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--n", "4097", "--out-dir", {str(tmp_path)!r}]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[1:]))
+"""
+    assert int(_run_script(script).splitlines()[-1]) < 300

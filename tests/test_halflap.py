@@ -20,7 +20,7 @@ from neelwall import (
 )
 from neelwall.analysis import _oracle_corpus
 from neelwall.energy import trapezoid_weights
-from neelwall.halflap import default_delta
+from neelwall.halflap import default_delta, dst, next_fast_len, toeplitz_product
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +161,36 @@ def test_only_halflap_calls_the_fft(solved, monkeypatch):
     assert "reconstruction" in verify(p)["checks"]
     path_scan(p, solved(1.0, 0.25, kind="perturbed")[0])
     assert callers == {"neelwall.halflap"}
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 255])
+def test_dst_is_the_orthonormal_sine_matrix_and_its_own_inverse(m, rng):
+    j = np.arange(1, m + 1)
+    sine = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * math.pi / (m + 1))
+    x = rng.standard_normal((3, m))
+    y = dst(x)
+    assert np.max(np.abs(y - x @ sine)) <= 1e-13 * np.max(np.abs(y))
+    assert np.max(np.abs(dst(y) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_next_fast_len_is_the_next_5_smooth_length():
+    smooth = sorted(
+        k for k in (2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)) if k <= 10**4
+    )
+    nxt = 0
+    for target in range(1, 10**4 + 1):
+        while smooth[nxt] < target:
+            nxt += 1
+        assert next_fast_len(target) == smooth[nxt], target
+    # padded lengths of the 4n lattice at n = 257 ... 8193
+    pinned = {1028: 1080, 4100: 4320, 8196: 8640, 16388: 16875, 32772: 32805}
+    assert {t: next_fast_len(t) for t in pinned} == pinned
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 300])
+def test_toeplitz_product_matches_the_dense_product(n, rng):
+    column = rng.standard_normal(n)
+    dense = column[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    x = rng.standard_normal((2, n))
+    assert np.max(np.abs(toeplitz_product(column, x) - x @ dense)) <= 1e-12 * np.max(np.abs(x @ dense))
+    assert np.allclose(toeplitz_product(column, x[0]), dense @ x[0], rtol=0, atol=1e-12 * n)

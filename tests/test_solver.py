@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import dst
 
 import neelwall.solver as solver
 from neelwall import (
@@ -100,7 +99,8 @@ def test_preconditioned_vacuum_hessian_is_near_identity(nu, h, lo, hi):
         g_up = energy_gradient(WallProfile(grid, up, params), op)
         g_down = energy_gradient(WallProfile(grid, down, params), op)
         hess[:, j] = (g_up - g_down)[1:-1] / (2 * eps)
-    basis = dst(np.eye(m), type=1, norm="ortho", axis=0)
+    j = np.arange(1, m + 1)
+    basis = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * math.pi / (m + 1))
     root_inv = basis @ np.diag(_block_scale(m, grid.spacing, params)) @ basis
     eig = np.linalg.eigvalsh(root_inv @ (0.5 * (hess + hess.T)) @ root_inv)
     assert lo <= eig.min() and eig.max() <= hi
@@ -165,6 +165,7 @@ def test_minimize_reaches_a_tight_tolerance_at_n_8193():
     _, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), SolveOptions(grad_tol=1e-10))
     assert report.converged and report.stop == "grad_tol"
     assert report.final_grad_norm <= 1e-10
+    assert report.restarts == 0
 
 
 def test_minimize_stalls_below_the_rounding_floor():
@@ -173,12 +174,37 @@ def test_minimize_stalls_below_the_rounding_floor():
     assert report.stop == "stalled" and not report.converged
     assert report.restarts == solver.MAX_RESTARTS
     assert report.final_grad_norm > 1e-12
+    # a run ends at the first step that lowers neither E nor sup|g|
+    assert report.evaluations <= 200
     assert p.theta[grid.center_index] == math.pi / 2
 
 
+def test_lbfgs_converges_on_a_quadratic_and_counts_its_work(rng):
+    m = 40
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    hess = q @ np.diag(np.linspace(0.5, 20.0, m)) @ q.T
+    b = rng.standard_normal(m)
+    exact = np.linalg.solve(hess, b)
+    calls = []
+
+    def fg(x):
+        calls.append(x)
+        g = hess @ x - b
+        return 0.5 * x @ g - 0.5 * x @ b, g
+
+    def done():
+        return np.max(np.abs(hess @ calls[-1] - b)) <= 1e-10
+
+    res = solver.lbfgs(fg, np.zeros(m), max_iter=500, done=done)
+    assert np.max(np.abs(res.x - exact)) <= 1e-9
+    assert 1 <= res.nit < 100 and res.nfev == len(calls) >= res.nit
+    capped = solver.lbfgs(fg, np.zeros(m), max_iter=3, done=lambda: False)
+    assert capped.nit == 3 and np.max(np.abs(capped.x - exact)) > 1e-3
+
+
 def test_an_evaluation_that_meets_the_tolerance_ends_the_solve():
-    # the line search rejects a point with sup|g|/dx = 5.2e-7 here (its
-    # energy is one ulp higher) and scipy then stops on a zero energy
+    # a line search on the energy can reject a point with sup|g|/dx = 5.2e-7
+    # here (its energy is one ulp higher) and then stop on a zero energy
     # decrease; a stop checked only at accepted iterates needs a restart
     grid = make_grid(16385, 40.0)
     p0 = make_initial_profile(grid, make_params(0.0, 0.5), kind="perturbed")
