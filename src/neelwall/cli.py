@@ -115,7 +115,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         {
             "iterations": report.iterations,
             "evaluations": report.evaluations,
-            "restarts": report.restarts,
             "stop": report.stop,
             "final_grad_norm": report.final_grad_norm,
             "recenter_shifts": report.recenter_shifts,

@@ -116,7 +116,6 @@ def test_iterations_do_not_grow_with_n(n):
     assert report.converged and report.final_grad_norm <= 1e-6
     assert report.iterations < 50
     assert report.evaluations >= report.iterations
-    assert report.restarts == 0
 
 
 def test_solve_evaluates_once_per_function_call(monkeypatch):
@@ -165,18 +164,27 @@ def test_minimize_reaches_a_tight_tolerance_at_n_8193():
     _, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), SolveOptions(grad_tol=1e-10))
     assert report.converged and report.stop == "grad_tol"
     assert report.final_grad_norm <= 1e-10
-    assert report.restarts == 0
 
 
-def test_minimize_stalls_below_the_rounding_floor():
+@pytest.mark.parametrize("nu, h", [(1.0, 0.25), (1.0, 0.0)])
+def test_minimize_stalls_below_the_rounding_floor(nu, h):
     grid = make_grid(4097, 40.0)
-    p, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), SolveOptions(grad_tol=1e-12))
+    p, report = minimize(make_initial_profile(grid, make_params(nu, h)), SolveOptions(grad_tol=1e-12))
     assert report.stop == "stalled" and not report.converged
-    assert report.restarts == solver.MAX_RESTARTS
     assert report.final_grad_norm > 1e-12
-    # a run ends at the first step that lowers neither E nor sup|g|
-    assert report.evaluations <= 200
+    # the run ends after PATIENCE steps that lower neither E nor sup|g|;
+    # warm restarts took 48 and 44 evaluations here
+    assert report.evaluations <= 30
     assert p.theta[grid.center_index] == math.pi / 2
+
+
+def test_a_step_without_progress_does_not_end_the_solve():
+    # one accepted step here leaves E unchanged and raises sup|g|; a run
+    # that ended at it would stall at 1.41e-7
+    grid = make_grid(257, 40.0)
+    p0 = make_initial_profile(grid, make_params(10.0, 0.0), kind="perturbed", seed=0)
+    _, report = minimize(p0, SolveOptions(grad_tol=1e-9))
+    assert report.converged and report.stop == "grad_tol"
 
 
 def test_lbfgs_converges_on_a_quadratic_and_counts_its_work(rng):
@@ -205,8 +213,8 @@ def test_lbfgs_converges_on_a_quadratic_and_counts_its_work(rng):
 def test_an_evaluation_that_meets_the_tolerance_ends_the_solve():
     # a line search on the energy can reject a point with sup|g|/dx = 5.2e-7
     # here (its energy is one ulp higher) and then stop on a zero energy
-    # decrease; a stop checked only at accepted iterates needs a restart
+    # decrease; a stop checked only at accepted iterates would miss it
     grid = make_grid(16385, 40.0)
     p0 = make_initial_profile(grid, make_params(0.0, 0.5), kind="perturbed")
     _, report = minimize(p0)
-    assert report.converged and report.restarts == 0
+    assert report.converged
