@@ -1,24 +1,25 @@
 """Arcsin interpolation between wall profiles and convexity certificates.
 
 Two profiles with theta(0) = pi/2 are joined by the path defined through
-sin theta^t = t sin theta_1 + (1 - t) sin theta_2, with the branch
+sin theta^t = s = t sin theta_1 + (1 - t) sin theta_2, with the branch
 pi - arcsin picked for x < 0. The energy along the path, f(t), is convex;
 its first and second t-derivatives are computed exactly for the discrete
 energy, so finite differences of f reproduce them to roundoff. Strict
 convexity plus vanishing endpoint derivatives certifies that two solutions
 coincide.
 
-u^t = sin theta^t - h = t u_1 + (1 - t) u_2 is linear in t, so a scan
-takes three real FFTs on the padded lattice, whatever its number of t
-points: the spectra of u_1, u_2 and du = u_1 - u_2. Every stray term of f,
-f' and f'' is a Parseval sum of their linear combinations, and theta^t
-takes one arcsin per t.
+A scan follows that definition: each t takes one arcsin, and cos theta^t
+= +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t = s - h =
+t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic in t
+whose coefficients come from three real FFTs on the padded lattice,
+whatever the number of t points: the spectra of u_1, u_2 and du = u_1 - u_2.
+At t = 0 and 1, f is the energy of the input profile itself, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,16 +66,7 @@ class CertificateVerdict:
     points: list[PathPoint] = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_f_second": self.min_f_second,
-            "f_prime_at_0": self.f_prime_at_0,
-            "f_prime_at_1": self.f_prime_at_1,
-            "sup_difference": self.sup_difference,
-            "derivative_tol": self.derivative_tol,
-            "difference_tol": self.difference_tol,
-            "identical_inputs": self.identical_inputs,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "points"}
 
 
 def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
@@ -95,19 +87,23 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
             )
 
 
-def _path_theta(grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float) -> np.ndarray:
-    """theta^t from the mixed sine t sin1 + (1-t) sin2, branch pi - arcsin
-    on x < 0, with the center node pinned at pi/2."""
+def _path_theta(
+    grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta^t and the clipped mixed sine s = t sin1 + (1-t) sin2; theta^t
+    takes the branch pi - arcsin on x < 0, with the center node pinned at
+    pi/2."""
     s = t * sin1 + (1.0 - t) * sin2
     excess = float(np.max(np.abs(s))) - 1.0
     if excess > CLAMP_SLACK:
         raise RangeViolationError(
             f"interpolated sine exceeds 1 by {excess:.3g}; inputs out of range"
         )
-    arcsin = np.arcsin(np.clip(s, -1.0, 1.0))
+    s = np.clip(s, -1.0, 1.0)
+    arcsin = np.arcsin(s)
     theta = np.where(grid.nodes >= 0.0, arcsin, math.pi - arcsin)
     theta[grid.center_index] = math.pi / 2.0
-    return theta
+    return theta, s
 
 
 def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProfile:
@@ -118,86 +114,29 @@ def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProf
         return p1.with_theta(p1.theta.copy())
     if t == 0.0:
         return p2.with_theta(p2.theta.copy())
-    return p1.with_theta(_path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t))
+    return p1.with_theta(_path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[0])
 
 
 def _nodal_t_derivatives(
     grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """theta^t, sin theta^t and the pointwise first and second
+    """theta^t, the mixed sine s and the pointwise first and second
     t-derivatives of theta^t; exact for the discrete path, zero at the
-    pinned center node."""
-    c = grid.center_index
-    theta_t = _path_theta(grid, sin1, sin2, t)
-    sin_t = np.sin(theta_t)
-    cs = np.cos(theta_t)
-    cs[c] = 1.0
-    d = sin1 - sin2
-    dt1 = d / cs
-    dt2 = d**2 * sin_t / cs**3
-    dt1[c] = 0.0
-    dt2[c] = 0.0
-    return theta_t, sin_t, dt1, dt2
+    pinned center node.
 
-
-class _Path:
-    """The arcsin path from p2 (t = 0) to p1 (t = 1) and the exact discrete
-    energy f(t) with its first two t-derivatives.
-
-    u^t = t u_1 + (1-t) u_2 is linear in t, so every stray term comes from
-    three padded-lattice spectra taken once: s_1, s_2 and s_d, the spectrum
-    of du = u_1 - u_2 itself (s_1 - s_2 would cancel the digits of f'' when
-    the profiles nearly coincide). At each t, s^t = t s_1 + (1-t) s_2 and
-    f, f', f'' use parseval(s^t, s^t), parseval(s^t, s_d) and
-    parseval(s_d, s_d). At t = 0 and 1, f is the energy of the input
-    profile itself, bit for bit.
+    From s = sin theta^t with s_t = d = sin1 - sin2: cos theta^t =
+    +-sqrt((1-s)(1+s)) with the sign of x, theta_t = d / cos theta^t and
+    theta_tt = theta_t^2 s / cos theta^t.
     """
-
-    def __init__(self, p1: WallProfile, p2: WallProfile, op: HalfLaplacianOperator):
-        self.p1, self.p2, self.op = p1, p2, op
-        self.grid = p1.grid
-        self.nu, h = p1.params.nu, p1.params.h
-        self.sin1, self.sin2 = np.sin(p1.theta), np.sin(p2.theta)
-        self.u1, self.u2 = self.sin1 - h, self.sin2 - h
-        self.du = self.u1 - self.u2
-        self.w = trapezoid_weights(self.grid.n, self.grid.spacing)
-        if self.nu > 0:
-            self.s1, self.s2, self.sd = (spectrum(op, u) for u in (self.u1, self.u2, self.du))
-            self.q_dd = parseval(op, self.sd, self.sd)
-
-    def point(self, t: float) -> tuple[float, float, float]:
-        """(f(t), f'(t), f''(t))."""
-        dx = self.grid.spacing
-        nu, op = self.nu, self.op
-        theta_t, sin_t, dt1, dt2 = _nodal_t_derivatives(self.grid, self.sin1, self.sin2, t)
-
-        # energy: the inputs themselves at the ends, theta^t inside
-        if t == 1.0:
-            theta_f, u_f = self.p1.theta, self.u1
-        elif t == 0.0:
-            theta_f, u_f = self.p2.theta, self.u2
-        else:
-            theta_f, u_f = theta_t, sin_t - self.p1.params.h
-        stray = st_p = st_pp = 0.0
-        if nu > 0:
-            s_t = t * self.s1 + (1.0 - t) * self.s2
-            stray = 0.25 * nu * parseval(op, s_t, s_t)
-            st_p = (nu / 2.0) * parseval(op, s_t, self.sd)
-            st_pp = (nu / 2.0) * self.q_dd
-        f = energy_parts(theta_f, u_f, dx, stray).total
-
-        # exchange: (1/2dx) sum (forward difference)^2, differentiated in t
-        dth = np.diff(theta_t)
-        ddt1 = np.diff(dt1)
-        ddt2 = np.diff(dt2)
-        ex_p = float(np.dot(dth, ddt1)) / dx
-        ex_pp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx
-
-        # potential: 1/2 sum w (u^t)^2 with u^t linear in t
-        ut = t * self.u1 + (1.0 - t) * self.u2
-        pot_p = float(np.dot(self.w, ut * self.du))
-        pot_pp = float(np.dot(self.w, self.du * self.du))
-        return f, ex_p + pot_p + st_p, ex_pp + pot_pp + st_pp
+    c = grid.center_index
+    theta, s = _path_theta(grid, sin1, sin2, t)
+    cs = np.sqrt((1.0 - s) * (1.0 + s))
+    np.negative(cs, out=cs, where=grid.nodes < 0.0)
+    cs[c] = 1.0
+    dt1 = (sin1 - sin2) / cs
+    dt2 = dt1 * dt1 * s / cs
+    dt1[c] = dt2[c] = 0.0
+    return theta, s, dt1, dt2
 
 
 def path_scan(
@@ -206,13 +145,19 @@ def path_scan(
     t_grid: np.ndarray | None = None,
     op: HalfLaplacianOperator | None = None,
 ) -> list[PathPoint]:
-    """Evaluate f, f', f'' on a sorted t grid in [0, 1].
+    """Evaluate f, f', f'' on a sorted t grid in [0, 1], from p2 (t = 0)
+    to p1 (t = 1).
+
+    With q_ab the parseval sum of the spectra s_a and s_b, the stray part
+    of f is nu/4 (q_22 + t (2 q_2d + t q_dd)) inside and nu/4 q_11, nu/4 q_22
+    at the ends; f' takes nu/2 (q_2d + t q_dd) and f'' takes nu/2 q_dd.
+    s_d is the spectrum of du itself: s_1 - s_2 would cancel the digits of
+    f'' when the profiles nearly coincide.
 
     f_second_fd is the 5-point central difference of f, defined on a
     uniform grid at indices with two neighbors on each side (nan
     elsewhere); f_second_analytic comes from differentiating the discrete
-    energy in t, so the two agree to roundoff. With nu > 0 the whole scan
-    takes three real FFTs and no inverse one.
+    energy in t, so the two agree to roundoff.
     """
     _require_pair(p1, p2)
     if t_grid is None:
@@ -220,8 +165,40 @@ def path_scan(
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > 1.0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted within [0, 1]")
-    path = _Path(p1, p2, op or make_operator(p1.grid))
-    fs, fps, fpps = np.array([path.point(float(t)) for t in t_grid]).reshape(-1, 3).T
+    op = op or make_operator(p1.grid)
+    grid, dx = p1.grid, p1.grid.spacing
+    nu, h = p1.params.nu, p1.params.h
+    sin1, sin2 = np.sin(p1.theta), np.sin(p2.theta)
+    u1, u2 = sin1 - h, sin2 - h
+    du = u1 - u2
+    w = trapezoid_weights(grid.n, dx)
+    pot_pp = float(np.dot(w, du * du))
+    q11 = q22 = q2d = qdd = 0.0
+    if nu > 0:
+        s1, s2, sd = (spectrum(op, u) for u in (u1, u2, du))
+        pairs = ((s1, s1), (s2, s2), (s2, sd), (sd, sd))
+        q11, q22, q2d, qdd = (parseval(op, a, b) for a, b in pairs)
+
+    rows = []
+    for t in map(float, t_grid):
+        theta, s, dt1, dt2 = _nodal_t_derivatives(grid, sin1, sin2, t)
+        # energy: the inputs themselves at the ends, theta^t inside
+        if t == 1.0:
+            theta_f, q = p1.theta, q11
+        elif t == 0.0:
+            theta_f, q = p2.theta, q22
+        else:
+            theta_f, q = theta, q22 + t * (2.0 * q2d + t * qdd)
+        u = s - h
+        f = energy_parts(theta_f, u, dx, 0.25 * nu * q).total
+        # exchange (1/2dx) sum (forward difference)^2 and potential
+        # 1/2 sum w u^2, differentiated in t
+        dth, ddt1, ddt2 = np.diff(theta), np.diff(dt1), np.diff(dt2)
+        f_p = float(np.dot(dth, ddt1)) / dx + float(np.dot(w, u * du))
+        f_pp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx + pot_pp
+        rows.append((f, f_p + (nu / 2.0) * (q2d + t * qdd), f_pp + (nu / 2.0) * qdd))
+
+    fs = np.array([r[0] for r in rows])
     fd = np.full(len(t_grid), math.nan)
     if len(t_grid) >= 5:
         dt = np.diff(t_grid)
@@ -231,14 +208,14 @@ def path_scan(
                 -fs[:-4] + 16.0 * fs[1:-3] - 30.0 * fs[2:-2] + 16.0 * fs[3:-1] - fs[4:]
             ) / (12.0 * step**2)
     return [
-        PathPoint(float(t_grid[j]), float(fs[j]), float(fps[j]), float(fd[j]), float(fpps[j]))
-        for j in range(len(t_grid))
+        PathPoint(float(t), f, f_p, float(f_fd), f_pp)
+        for t, (f, f_p, f_pp), f_fd in zip(t_grid, rows, fd)
     ]
 
 
 def path_velocity_norm(p1: WallProfile, p2: WallProfile, t: float) -> float:
     """L2 norm of the pointwise path velocity theta^t_t."""
-    _, _, dt1, _ = _nodal_t_derivatives(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)
+    dt1 = _nodal_t_derivatives(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[2]
     w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
     return math.sqrt(float(np.dot(w, dt1 * dt1)))
 
@@ -253,8 +230,7 @@ def stationarity_defect(
     Vanishes for a critical point of the energy; for a non-solution it is
     bounded away from zero.
     """
-    _require_pair(p_candidate, p_other)
-    return _Path(p_candidate, p_other, op or make_operator(p_candidate.grid)).point(1.0)[1]
+    return path_scan(p_candidate, p_other, [1.0], op)[0].f_prime
 
 
 def uniqueness_certificate(
@@ -268,10 +244,15 @@ def uniqueness_certificate(
     Scans f'' on a 41-point t grid and evaluates f' at both endpoints; the
     scan is kept in the verdict's points (left out of as_dict).
     If f'' > 0 throughout and both endpoint derivatives vanish (within
-    10 * grad_tol * path velocity norm), convexity forces the profiles to
-    coincide; the verdict cross-checks this against sup|theta_1 - theta_2|
-    <= DIFFERENCE_TOL and flags CONTRADICTION when they disagree, which
-    would indicate an implementation fault rather than a counterexample.
+    10 * grad_tol * max(vel, 1), vel the larger endpoint path velocity
+    norm), convexity forces the profiles to coincide; the verdict
+    cross-checks this against sup|theta_1 - theta_2| <= DIFFERENCE_TOL and
+    flags CONTRADICTION when they disagree, which would indicate an
+    implementation fault rather than a counterexample. The floor of 1 on
+    vel lets a slow path pass the derivative test without joining two
+    solutions: a converged solve against a three-step kink solve (n = 1025,
+    nu = 2, h = 0.3) reads CONTRADICTION. ROADMAP item 5 derives the
+    tolerance from the dual norm of each endpoint's gradient instead.
     """
     _require_pair(p1, p2)
     op = op or make_operator(p1.grid)

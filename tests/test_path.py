@@ -7,12 +7,14 @@ from neelwall import (
     FlatTopError,
     NotRecentredError,
     RangeViolationError,
+    SolveOptions,
     energy,
     interpolate_profiles,
     make_grid,
     make_initial_profile,
     make_operator,
     make_params,
+    minimize,
     pairing,
     path_scan,
     recenter,
@@ -218,6 +220,44 @@ def test_scan_transforms_u_three_times(nu, rffts, operators, monkeypatch):
     pts = path_scan(p1, p2, op=op)
     assert len(pts) == 41
     assert calls == {"rfft": rffts, "irfft": 0}
+
+
+def test_scan_takes_one_arcsin_per_t_and_no_cos(monkeypatch):
+    p1, p2 = _kink_pair(1.0)
+    calls = {}
+    for name in ("sin", "cos", "arcsin"):
+        fn = getattr(np, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    per_scan = []
+    for points in (5, 41):
+        calls.update(sin=0, cos=0, arcsin=0)
+        path_scan(p1, p2, t_grid=np.linspace(0.0, 1.0, points))
+        per_scan.append(dict(calls))
+    # theta^t from one arcsin of the mixed sine; cos theta^t from the sine
+    assert [c["arcsin"] for c in per_scan] == [5, 41]
+    assert [c["cos"] for c in per_scan] == [0, 0]
+    assert per_scan[0]["sin"] == per_scan[1]["sin"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="deriv_tol's max(vel, 1) floor passes f'(0) = -3.0e-6 on a path of velocity "
+    "1.2e-3, so the verdict is CONTRADICTION (ROADMAP item 5)",
+)
+def test_certificate_rejects_converged_against_three_step_solve(solved, operators):
+    grid, op = operators(1025)
+    params = make_params(2.0, 0.3)
+    p, report = solved(2.0, 0.3, n=1025)
+    q, early = minimize(make_initial_profile(grid, params, kind="kink"), SolveOptions(max_iter=3), op)
+    assert report.converged and not early.converged
+    v = uniqueness_certificate(recenter(p), recenter(q), op=op)
+    assert v.verdict == "NOT_BOTH_SOLUTIONS"
 
 
 def _per_t_reference(p1, p2, t, op):
