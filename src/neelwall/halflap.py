@@ -1,18 +1,24 @@
 """Two independent realizations of the half-Laplacian (-d^2/dx^2)^(1/2).
 
-The workhorse is a zero-padded FFT with multiplier |k| on one lattice per
-grid, HalfLaplacianOperator, which alone chooses the padded length, holds
-|k| and takes every transform (transform pads and rffts, inverse irffts and
-crops); the linearized operator in greenfn works on the same lattice through
-those two methods. The stray-field form pairing(u, w) is the Parseval sum
-(parseval) of the two padded-lattice spectra (spectrum); callers that
-combine spectra linearly, like the path scan, use the same summation. The
-cross-check is a principal-value singular integral split at a scale delta,
-with the inner part written as a symmetrized second difference (removable
-singularity) and the outer part closed in form beyond the grid using the
-constant extension of the input. The H^(1/2) seminorm oracle for the pairing
-is a double-trapezoid sum of the real-space kernel 1/(x-y)^2, evaluated as
-Toeplitz products in O(n log n); it does not use the padded lattice or |k|.
+The discrete model is the zero-padded FFT lattice with multiplier |k|: one
+lattice per grid, HalfLaplacianOperator, which alone chooses the padded
+length P and holds |k| (transform pads and rffts, inverse irffts and crops;
+the linearized operator in greenfn divides by its symbol through those two
+methods). Between grid nodes that lattice applies a symmetric Toeplitz
+matrix with column K_P(m) = irfft(|k|, P)[m], m < n; make_operator builds it
+once from that definition. The workhorse applies the same matrix through its
+circulant embedding at the fast length M >= 2n - 1, about P/2 (Chan & Ng,
+SIAM Review 38, 1996): spectrum rffts at M, apply_spectral multiplies by the
+embedding's real spectrum and irffts, and the stray-field form pairing(u, w)
+is the Parseval sum (parseval) of two such spectra; callers that combine
+spectra linearly, like the path scan, use the same summation.
+The cross-check is a principal-value singular integral split at a scale
+delta, with the inner part written as a symmetrized second difference
+(removable singularity) and the outer part closed in form beyond the grid
+using the constant extension of the input. The H^(1/2) seminorm oracle for
+the pairing is a double-trapezoid sum of the real-space kernel 1/(x-y)^2,
+evaluated as Toeplitz products in O(n log n); it does not use the padded
+lattice or |k|.
 
 The module is also the package's one caller of numpy's FFT for the other
 transforms it needs: the orthonormal DST-I of the solver's preconditioner
@@ -47,23 +53,28 @@ __all__ = [
     "toeplitz_product",
 ]
 
-# Transforms are at least this many times longer than the grid, which keeps
-# the periodic images of the c/x^2 wall tails out of the window.
+# The padded lattice is at least this many times longer than the grid, which
+# keeps the periodic images of the c/x^2 wall tails out of the window.
 PAD_FACTOR = 4
 TAIL_TOL = 1e-2
 
 
 @dataclass(frozen=True)
 class HalfLaplacianOperator:
-    """The zero-padded FFT lattice of one grid.
+    """The zero-padded FFT lattice of one grid and its Toeplitz kernel.
 
     Samples sit in the middle of a window of padded_len points; wavenumbers
-    holds |k| on the real-FFT half of the lattice.
+    holds |k| on the real-FFT half of the lattice. column is the lattice's
+    kernel between grid nodes, irfft(|k|, padded_len)[:n], and kernel the
+    real spectrum of its circulant embedding of length embed_len.
     """
 
     grid: Grid
     padded_len: int
     wavenumbers: np.ndarray
+    column: np.ndarray
+    embed_len: int
+    kernel: np.ndarray
 
     @property
     def _offset(self) -> int:
@@ -113,29 +124,46 @@ def dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(buf)[..., 1 : m + 1].imag * -math.sqrt(0.5 / (m + 1))
 
 
-def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x along the last axis of x, for the symmetric Toeplitz matrix
-    T_ij = column[|i - j|], by embedding T in a circulant of fast length
-    >= 2n - 1: O(n log n)."""
+def _circulant_spectrum(column: np.ndarray) -> tuple[int, np.ndarray]:
+    """The fast length size >= 2n - 1 and the real spectrum of the symmetric
+    circulant of that length whose first n entries are column; its top-left
+    n x n block is the Toeplitz matrix T_ij = column[|i - j|]."""
     n = len(column)
     size = next_fast_len(2 * n - 1)
     circulant = np.zeros(size)
     circulant[:n] = column
     circulant[size - n + 1 :] = column[:0:-1]
-    spec = np.fft.rfft(circulant) * np.fft.rfft(x, size)
-    return np.fft.irfft(spec, size)[..., :n]
+    return size, np.fft.rfft(circulant).real
+
+
+def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x along the last axis of x, for the symmetric Toeplitz matrix
+    T_ij = column[|i - j|], by embedding T in a circulant of fast length
+    >= 2n - 1: O(n log n)."""
+    size, spec = _circulant_spectrum(column)
+    return np.fft.irfft(spec * np.fft.rfft(x, size), size)[..., : len(column)]
 
 
 def make_operator(grid: Grid) -> HalfLaplacianOperator:
     """Build the padded lattice for a grid, with transform length the
-    smallest fast real-FFT size >= 4n."""
+    smallest fast real-FFT size >= 4n, and the circulant embedding of its
+    kernel between grid nodes."""
     padded_len = next_fast_len(PAD_FACTOR * grid.n)
     k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
-    return HalfLaplacianOperator(grid=grid, padded_len=padded_len, wavenumbers=k)
+    column = np.fft.irfft(k, padded_len)[: grid.n]
+    embed_len, kernel = _circulant_spectrum(column)
+    return HalfLaplacianOperator(
+        grid=grid,
+        padded_len=padded_len,
+        wavenumbers=k,
+        column=column,
+        embed_len=embed_len,
+        kernel=kernel,
+    )
 
 
 def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    """Real-FFT spectrum of u on the padded lattice.
+    """Real-FFT spectrum of u zero-extended to the embedding length.
 
     The mean of the two end values is subtracted before padding so that
     additive constants are annihilated exactly and edge leakage does not
@@ -150,12 +178,14 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
             f"|input| at the grid ends is {tail:.3g} > {TAIL_TOL:.3g}; "
             "nonlocal operators expect u = sin(theta) - h"
         )
-    return op.transform(v)
+    return np.fft.rfft(v, op.embed_len)
 
 
 def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    """Half-Laplacian by zero-padded FFT with multiplier |k|."""
-    return op.inverse(spectrum(op, u) * op.wavenumbers)
+    """Half-Laplacian on the padded lattice: its Toeplitz kernel applied
+    through the circulant embedding, one rfft and one irfft at embed_len."""
+    spec = spectrum(op, u) * op.kernel
+    return np.fft.irfft(spec, op.embed_len)[: op.grid.n]
 
 
 def default_delta(nu: float) -> float:
@@ -214,19 +244,22 @@ def apply_quadrature(
 
 
 def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
-    """The pairing of two padded-lattice spectra: dx/N sum |k| Re(su conj(sw))
-    over the full lattice, summed from its real-FFT half."""
-    terms = op.wavenumbers * np.real(su * np.conj(sw))
+    """The pairing of two spectra from spectrum: dx/M sum kernel Re(su conj(sw))
+    over the embedding's full lattice of M = embed_len points, summed from
+    its real-FFT half; it equals dx v.(T z) for the padded lattice's
+    Toeplitz matrix T and the end-mean-free samples v, z behind su, sw."""
+    terms = op.kernel * np.real(su * np.conj(sw))
     total = terms[0] + 2.0 * np.sum(terms[1:-1])
-    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
-    return float(total) * op.grid.spacing / op.padded_len
+    total += terms[-1] if op.embed_len % 2 == 0 else 2.0 * terms[-1]
+    return float(total) * op.grid.spacing / op.embed_len
 
 
 def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
     """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx.
 
-    Evaluated in the frequency domain (Parseval) on the padded lattice, which
-    makes the form exactly symmetric; pairing(op, u, u) transforms once.
+    Evaluated in the frequency domain (Parseval) on the circulant embedding
+    of the padded lattice's kernel, which makes the form exactly symmetric;
+    pairing(op, u, u) transforms once.
     """
     su = spectrum(op, u)
     sw = su if w is u else spectrum(op, w)

@@ -12,7 +12,7 @@ from neelwall import (
     make_operator,
     make_params,
 )
-from neelwall.energy import trapezoid_weights
+from neelwall.energy import energy_and_gradient, trapezoid_weights
 
 
 def test_trapezoid_weights_sum():
@@ -87,3 +87,26 @@ def test_el_residual_large_off_minimizer(operators):
     params = make_params(1.0, 0.0)
     p = make_initial_profile(grid, params, kind="kink")
     assert np.max(np.abs(el_residual(p, op))) > 1e-2
+
+
+@pytest.mark.parametrize("nu, transforms", [(1.0, {"rfft": 2, "irfft": 1}), (0.0, {})])
+def test_an_evaluation_transforms_at_the_embedding_length(nu, transforms, monkeypatch):
+    # the stray energy and field take 2 rffts and 1 irfft at the circulant
+    # embedding's length, none at the padded lattice's
+    grid = make_grid(2049, 40.0)
+    op = make_operator(grid)
+    p = make_initial_profile(grid, make_params(nu, 0.25), kind="kink")
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def traced(a, n=None, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            out = _fft(a, n, *args, **kwargs)
+            calls.append((_name, out.shape[-1] if _name == "irfft" else n or a.shape[-1]))
+            return out
+
+        monkeypatch.setattr(np.fft, name, traced)
+    energy_and_gradient(p, op)
+    assert {name: sum(c[0] == name for c in calls) for name in transforms} == transforms
+    assert len(calls) == sum(transforms.values())
+    assert {length for _, length in calls} <= {op.embed_len}
+    assert op.embed_len < op.padded_len

@@ -144,6 +144,37 @@ def test_seminorm_gap_is_the_periodic_image_bias(n):
         assert abs(pairing(op, u, u) - bias - qd) / qd <= 1.5e-5, name
 
 
+def _padded_apply(op, u):
+    """apply_spectral on the zero-padded lattice itself: |k| times the
+    padded window's spectrum, cropped back to the grid."""
+    v = u - 0.5 * (u[0] + u[-1])
+    return op.inverse(op.transform(v) * op.wavenumbers)
+
+
+def _padded_pairing(op, u):
+    """pairing(u, u) as the Parseval sum over the zero-padded lattice."""
+    su = op.transform(u - 0.5 * (u[0] + u[-1]))
+    terms = op.wavenumbers * np.abs(su) ** 2
+    total = terms[0] + 2.0 * np.sum(terms[1:-1])
+    total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
+    return float(total) * op.grid.spacing / op.padded_len
+
+
+@pytest.mark.parametrize("n, embed_len", [(257, 540), (1025, 2160), (4097, 8640), (8193, 16875)])
+def test_embedding_applies_the_padded_lattice_operator(n, embed_len, operators, solved):
+    # the circulant embedding at next_fast_len(2n - 1) is the padded
+    # lattice's own Toeplitz matrix, so both routes agree to rounding
+    grid, op = operators(n)
+    assert op.embed_len == next_fast_len(2 * n - 1) == embed_len
+    wall, _ = solved(1.0, 0.25, n=n)
+    cases = _oracle_corpus(grid) + [("wall", np.sin(wall.theta) - 0.25)]
+    for name, u in cases:
+        ref = _padded_apply(op, u)
+        assert np.max(np.abs(apply_spectral(op, u) - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        q = _padded_pairing(op, u)
+        assert abs(pairing(op, u, u) - q) <= 1e-12 * q, name
+
+
 def test_only_halflap_calls_the_fft(solved, monkeypatch):
     # every padded-lattice transform, the Green function's included, goes
     # through HalfLaplacianOperator
