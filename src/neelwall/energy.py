@@ -10,13 +10,14 @@ The discrete energy is the quantity the solver minimizes:
 with trapezoid weights w and the Parseval stray form from halflap. One
 kernel, energy_and_gradient, evaluates it together with its exact derivative
 with respect to the interior node values (boundary nodes are
-Dirichlet-frozen): it computes sin theta, cos theta and u once, takes the
-stray energy from pairing(u, u) and the stray field from apply_spectral(u),
-three FFTs in all. The exact gradient guarantees monotone descent and exact
-stationarity at discrete minimizers. el_residual is the same gradient
-divided by dx, which on smooth profiles samples the continuum
-Euler-Lagrange operator to O(dx^2); it is a stationarity metric, not an
-independent check of the gradient.
+Dirichlet-frozen): it computes u and cos theta once, takes the stray
+energy from pairing(u, u) and the stray field from apply_spectral(u), three
+FFTs in all, and applies the local and stray forces as one product
+cos theta (u + (nu/2) apply_spectral(u)). The exact gradient guarantees
+monotone descent and exact stationarity at discrete minimizers. el_residual
+is the same gradient divided by dx, which on smooth profiles samples the
+continuum Euler-Lagrange operator to O(dx^2); it is a stationarity metric,
+not an independent check of the gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .halflap import HalfLaplacianOperator, apply_spectral, pairing
-from .model import EnergyBreakdown, WallProfile, trapezoid_weights
+from .model import EnergyBreakdown, WallProfile, trapezoid_weights  # noqa: F401 (re-exported)
 
 __all__ = [
     "energy",
@@ -44,15 +45,25 @@ def energy_and_gradient(
     theta = p.theta
     dx = p.grid.spacing
     h, nu = p.params.h, p.params.nu
-    sin, cos = np.sin(theta), np.cos(theta)
-    u = sin - h
+    u = np.sin(theta)
+    u -= h
     g = np.zeros_like(theta)
-    g[1:-1] = (2.0 * theta[1:-1] - theta[2:] - theta[:-2]) / dx
-    g[1:-1] += (u * cos)[1:-1] * dx
+    inner = g[1:-1]
+    np.multiply(theta[1:-1], 2.0, out=inner)
+    inner -= theta[2:]
+    inner -= theta[:-2]
+    inner /= dx
+    # local and stray forces in one product: cos theta (u + nu/2 T v)
+    force = u
     stray = 0.0
     if nu > 0:
         stray = 0.25 * nu * pairing(op, u, u)
-        g[1:-1] += 0.5 * nu * (cos * apply_spectral(op, u))[1:-1] * dx
+        force = apply_spectral(op, u)
+        force *= 0.5 * nu
+        force += u
+    force = np.cos(theta[1:-1]) * force[1:-1]
+    force *= dx
+    inner += force
     return energy_parts(theta, u, dx, stray), g
 
 
@@ -60,9 +71,11 @@ def energy_parts(
     theta: np.ndarray, u: np.ndarray, dx: float, stray: float
 ) -> EnergyBreakdown:
     """The breakdown of the discrete energy of theta, u = sin theta - h,
-    given its stray part (nu/4) pairing(u, u)."""
-    exchange = 0.5 * float(np.sum(np.diff(theta) ** 2)) / dx
-    potential = 0.5 * float(np.dot(trapezoid_weights(len(theta), dx), u * u))
+    given its stray part (nu/4) pairing(u, u); the potential's trapezoid
+    sum is dx (u.u - (u_0^2 + u_{n-1}^2)/2)."""
+    dtheta = np.diff(theta)
+    exchange = 0.5 * float(dtheta @ dtheta) / dx
+    potential = 0.5 * dx * float(u @ u - 0.5 * (u[0] * u[0] + u[-1] * u[-1]))
     return EnergyBreakdown(
         exchange=exchange,
         potential=potential,

@@ -7,11 +7,13 @@ the linearized operator in greenfn divides by its symbol through those two
 methods). Between grid nodes that lattice applies a symmetric Toeplitz
 matrix with column K_P(m) = irfft(|k|, P)[m], m < n; make_operator builds it
 once from that definition. The workhorse applies the same matrix through its
-circulant embedding at the fast length M >= 2n - 1, about P/2 (Chan & Ng,
-SIAM Review 38, 1996): spectrum rffts at M, apply_spectral multiplies by the
-embedding's real spectrum and irffts, and the stray-field form pairing(u, w)
-is the Parseval sum (parseval) of two such spectra; callers that combine
-spectra linearly, like the path scan, use the same summation.
+symmetric circulant embedding at the fast length M >= 2n - 2, about P/2 and
+a power of two on grids of n = 2^k + 1 nodes (Chan & Ng, SIAM Review 38,
+1996): spectrum rffts at M, apply_spectral multiplies by the embedding's
+real spectrum and irffts, and the stray-field form pairing(u, w) is the
+Parseval sum (parseval) of two such spectra, weighted once per operator;
+callers that combine spectra linearly, like the path scan, use the same
+summation.
 The cross-check is a principal-value singular integral split at a scale
 delta, with the inner part written as a symmetrized second difference
 (removable singularity) and the outer part closed in form beyond the grid
@@ -66,7 +68,9 @@ class HalfLaplacianOperator:
     Samples sit in the middle of a window of padded_len points; wavenumbers
     holds |k| on the real-FFT half of the lattice. column is the lattice's
     kernel between grid nodes, irfft(|k|, padded_len)[:n], and kernel the
-    real spectrum of its circulant embedding of length embed_len.
+    real spectrum of its circulant embedding of length embed_len. weights
+    is kernel dx/embed_len with the interior real-FFT bins doubled (each
+    stands for itself and its conjugate), the Parseval weights of parseval.
     """
 
     grid: Grid
@@ -75,6 +79,7 @@ class HalfLaplacianOperator:
     column: np.ndarray
     embed_len: int
     kernel: np.ndarray
+    weights: np.ndarray
 
     @property
     def _offset(self) -> int:
@@ -98,6 +103,8 @@ class HalfLaplacianOperator:
 def next_fast_len(target: int) -> int:
     """The smallest 5-smooth integer 2^a 3^b 5^c >= target, a length that
     numpy's (pocketfft) real FFT factors into its fastest radices."""
+    if target <= 1:
+        return 1
     best = 1 << (target - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -114,22 +121,23 @@ def dst(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis,
     y_k = sqrt(2/(m+1)) sum_j x_j sin(pi (j+1)(k+1)/(m+1)), its own inverse.
 
-    Taken from one rfft of the odd extension (0, x, 0, -reversed x) of
-    length 2(m+1), whose spectrum is -2i times the sine sums.
+    The sine sums are minus the imaginary part of one rfft of (0, x),
+    zero-padded to length 2(m+1).
     """
     m = x.shape[-1]
     buf = np.zeros(x.shape[:-1] + (2 * (m + 1),))
     buf[..., 1 : m + 1] = x
-    buf[..., m + 2 :] = -x[..., ::-1]
-    return np.fft.rfft(buf)[..., 1 : m + 1].imag * -math.sqrt(0.5 / (m + 1))
+    return np.fft.rfft(buf)[..., 1 : m + 1].imag * -math.sqrt(2.0 / (m + 1))
 
 
 def _circulant_spectrum(column: np.ndarray) -> tuple[int, np.ndarray]:
-    """The fast length size >= 2n - 1 and the real spectrum of the symmetric
-    circulant of that length whose first n entries are column; its top-left
-    n x n block is the Toeplitz matrix T_ij = column[|i - j|]."""
+    """The fast length size >= 2n - 2 and the real spectrum of the symmetric
+    circulant of that length with first column (column, zeros, reversed
+    column[1:]); at size = 2n - 2 it is (K_0 ... K_{n-1}, K_{n-2} ... K_1),
+    entry n - 1 serving both wraps. Its top-left n x n block is the Toeplitz
+    matrix T_ij = column[|i - j|]."""
     n = len(column)
-    size = next_fast_len(2 * n - 1)
+    size = next_fast_len(2 * n - 2)
     circulant = np.zeros(size)
     circulant[:n] = column
     circulant[size - n + 1 :] = column[:0:-1]
@@ -138,8 +146,8 @@ def _circulant_spectrum(column: np.ndarray) -> tuple[int, np.ndarray]:
 
 def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
     """T x along the last axis of x, for the symmetric Toeplitz matrix
-    T_ij = column[|i - j|], by embedding T in a circulant of fast length
-    >= 2n - 1: O(n log n)."""
+    T_ij = column[|i - j|], by embedding T in a symmetric circulant of fast
+    length >= 2n - 2: O(n log n)."""
     size, spec = _circulant_spectrum(column)
     return np.fft.irfft(spec * np.fft.rfft(x, size), size)[..., : len(column)]
 
@@ -152,6 +160,8 @@ def make_operator(grid: Grid) -> HalfLaplacianOperator:
     k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
     column = np.fft.irfft(k, padded_len)[: grid.n]
     embed_len, kernel = _circulant_spectrum(column)
+    weights = kernel * (grid.spacing / embed_len)
+    weights[1 : (embed_len + 1) // 2] *= 2.0
     return HalfLaplacianOperator(
         grid=grid,
         padded_len=padded_len,
@@ -159,6 +169,7 @@ def make_operator(grid: Grid) -> HalfLaplacianOperator:
         column=column,
         embed_len=embed_len,
         kernel=kernel,
+        weights=weights,
     )
 
 
@@ -184,7 +195,8 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
 def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     """Half-Laplacian on the padded lattice: its Toeplitz kernel applied
     through the circulant embedding, one rfft and one irfft at embed_len."""
-    spec = spectrum(op, u) * op.kernel
+    spec = spectrum(op, u)
+    spec *= op.kernel
     return np.fft.irfft(spec, op.embed_len)[: op.grid.n]
 
 
@@ -245,13 +257,12 @@ def apply_quadrature(
 
 def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
     """The pairing of two spectra from spectrum: dx/M sum kernel Re(su conj(sw))
-    over the embedding's full lattice of M = embed_len points, summed from
-    its real-FFT half; it equals dx v.(T z) for the padded lattice's
-    Toeplitz matrix T and the end-mean-free samples v, z behind su, sw."""
-    terms = op.kernel * np.real(su * np.conj(sw))
-    total = terms[0] + 2.0 * np.sum(terms[1:-1])
-    total += terms[-1] if op.embed_len % 2 == 0 else 2.0 * terms[-1]
-    return float(total) * op.grid.spacing / op.embed_len
+    over the embedding's full lattice of M = embed_len points, taken on its
+    real-FFT half as weights.(Re su Re sw) + weights.(Im su Im sw), which is
+    exactly symmetric in su and sw. It equals dx v.(T z) for the padded
+    lattice's Toeplitz matrix T and the end-mean-free samples v, z behind
+    su, sw."""
+    return float(op.weights @ (su.real * sw.real) + op.weights @ (su.imag * sw.imag))
 
 
 def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:

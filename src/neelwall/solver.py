@@ -139,12 +139,12 @@ def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * (s @ d))
-        d = d - alphas[-1] * y
+        d -= alphas[-1] * y
     if pairs:
         s, y, rho = pairs[-1]
-        d = d / (rho * (y @ y))
+        d /= rho * (y @ y)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        d = d + (alpha - rho * (y @ d)) * s
+        d += (alpha - rho * (y @ d)) * s
     return d
 
 
@@ -267,12 +267,15 @@ def minimize(
     n, c, dx = p.grid.n, p.grid.center_index, p.grid.spacing
     start = p.theta.copy()
     start[c] = 0.5 * math.pi
-    free = np.r_[1:c, c + 1 : n - 1]
+    # the two Dirichlet blocks of c - 1 nodes each side of the pinned center
+    left, right = slice(1, c), slice(c + 1, n - 1)
     scale = _block_scale(c - 1, dx, p.params)
 
     def to_theta(z: np.ndarray) -> np.ndarray:
         full = start.copy()
-        full[free] += dst(scale * z.reshape(2, -1)).ravel()
+        step = dst(scale * z.reshape(2, -1))
+        full[left] += step[0]
+        full[right] += step[1]
         return full
 
     last = {}
@@ -281,10 +284,11 @@ def minimize(
         theta = to_theta(z)
         eb, g = energy_and_gradient(p.with_theta(theta), op)
         last.update(z=z, theta=theta, eb=eb, gnorm=_grad_norm(g, dx))
-        gz = scale * dst(g[free].reshape(2, -1))
+        gz = dst(np.stack((g[left], g[right])))
+        gz *= scale
         return eb.total, gz.ravel()
 
-    res = lbfgs(fg, np.zeros(len(free)), opts.max_iter, lambda: last["gnorm"] <= opts.grad_tol)
+    res = lbfgs(fg, np.zeros(2 * (c - 1)), opts.max_iter, lambda: last["gnorm"] <= opts.grad_tol)
     evaluations = res.nfev
     # a failed line search returns the last accepted point, not the last trial
     if not np.array_equal(res.x, last["z"]):

@@ -109,4 +109,5 @@ def test_an_evaluation_transforms_at_the_embedding_length(nu, transforms, monkey
     assert {name: sum(c[0] == name for c in calls) for name in transforms} == transforms
     assert len(calls) == sum(transforms.values())
     assert {length for _, length in calls} <= {op.embed_len}
+    assert op.embed_len == 2 * (grid.n - 1)
     assert op.embed_len < op.padded_len

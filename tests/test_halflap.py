@@ -160,12 +160,12 @@ def _padded_pairing(op, u):
     return float(total) * op.grid.spacing / op.padded_len
 
 
-@pytest.mark.parametrize("n, embed_len", [(257, 540), (1025, 2160), (4097, 8640), (8193, 16875)])
+@pytest.mark.parametrize("n, embed_len", [(257, 512), (1025, 2048), (4097, 8192), (8193, 16384)])
 def test_embedding_applies_the_padded_lattice_operator(n, embed_len, operators, solved):
-    # the circulant embedding at next_fast_len(2n - 1) is the padded
-    # lattice's own Toeplitz matrix, so both routes agree to rounding
+    # the symmetric circulant embedding at next_fast_len(2n - 2) is the
+    # padded lattice's own Toeplitz matrix, so both routes agree to rounding
     grid, op = operators(n)
-    assert op.embed_len == next_fast_len(2 * n - 1) == embed_len
+    assert op.embed_len == next_fast_len(2 * n - 2) == embed_len
     wall, _ = solved(1.0, 0.25, n=n)
     cases = _oracle_corpus(grid) + [("wall", np.sin(wall.theta) - 0.25)]
     for name, u in cases:
@@ -173,6 +173,21 @@ def test_embedding_applies_the_padded_lattice_operator(n, embed_len, operators, 
         assert np.max(np.abs(apply_spectral(op, u) - ref)) <= 1e-12 * np.max(np.abs(ref)), name
         q = _padded_pairing(op, u)
         assert abs(pairing(op, u, u) - q) <= 1e-12 * q, name
+
+
+@pytest.mark.parametrize("n, embed_len", [(23, 45), (25, 48), (113, 225), (129, 256)])
+def test_pairing_is_the_dense_toeplitz_form_at_odd_and_even_lengths(n, embed_len):
+    # the folded Parseval weights count bin M/2 once only when M is even
+    grid = make_grid(n, 10.0)
+    op = make_operator(grid)
+    assert op.embed_len == embed_len
+    x = grid.nodes
+    u, w = np.exp(-(x**2)), 1.0 / (1.0 + x**2)
+    v, z = u - 0.5 * (u[0] + u[-1]), w - 0.5 * (w[0] + w[-1])
+    dense = op.column[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    q = grid.spacing * float(v @ dense @ z)
+    assert abs(pairing(op, u, w) - q) <= 1e-13 * abs(q)
+    assert np.max(np.abs(apply_spectral(op, u) - dense @ v)) <= 1e-13 * np.max(np.abs(dense @ v))
 
 
 def test_only_halflap_calls_the_fft(solved, monkeypatch):
@@ -209,12 +224,14 @@ def test_next_fast_len_is_the_next_5_smooth_length():
         k for k in (2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)) if k <= 10**4
     )
     nxt = 0
-    for target in range(1, 10**4 + 1):
+    for target in range(0, 10**4 + 1):
         while smooth[nxt] < target:
             nxt += 1
         assert next_fast_len(target) == smooth[nxt], target
-    # padded lengths of the 4n lattice at n = 257 ... 8193
+    # padded lengths of the 4n lattice at n = 257 ... 8193, and the
+    # embedding lengths 2n - 2 at n = 257, 1025, 2049, 4097, 8193
     pinned = {1028: 1080, 4100: 4320, 8196: 8640, 16388: 16875, 32772: 32805}
+    pinned.update({512: 512, 2048: 2048, 4096: 4096, 8192: 8192, 16384: 16384})
     assert {t: next_fast_len(t) for t in pinned} == pinned
 
 
