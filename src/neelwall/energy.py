@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .halflap import HalfLaplacianOperator, apply_spectral, pairing
-from .model import EnergyBreakdown, WallProfile, trapezoid_weights  # noqa: F401 (re-exported)
+from .model import EnergyBreakdown, WallProfile
 
 __all__ = [
     "energy",

@@ -8,8 +8,9 @@ from theta_h satisfies L(rho - theta_h) = a delta + f, where
 and a = 2 |theta'(0)| comes from the slope jump at the fold. Inverting L
 through its Fourier symbol yields the fundamental solution G, and the
 representation rho = theta_h + a G + G * f explains the x^-2 tail: both
-G and the convolution inherit quadratic decay from the |k| term. L and its
-inverse act through the transforms of the grid's padded lattice in halflap.
+G and the convolution inherit quadratic decay from the |k| term. Between
+grid nodes L and G are the padded lattice's Toeplitz columns of the symbol
+and of 1/symbol over dx, applied like the half-Laplacian in halflap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halflap import HalfLaplacianOperator, apply_spectral, make_operator
+from .halflap import HalfLaplacianOperator, apply_spectral, lattice_column, make_operator, toeplitz_product
 from .model import Grid, ModelParams, WallProfile, tail_window, trapezoid_weights
 
 __all__ = [
@@ -42,11 +43,14 @@ CORE_EXCLUSION_NODES = 3
 @dataclass(frozen=True)
 class LinearizedOperator:
     """Fourier symbol k^2 + (nu/2) cos^2(theta_h) |k| + cos^2(theta_h)
-    sampled on the non-negative frequencies of the grid's padded lattice."""
+    sampled on the non-negative frequencies of the grid's padded lattice,
+    and green, the fundamental solution G between grid nodes: the lattice
+    column of 1/symbol over dx, G(x_i - x_j) = green[|i - j|]."""
 
     params: ModelParams
     lattice: HalfLaplacianOperator
     symbol: np.ndarray
+    green: np.ndarray
 
     @property
     def grid(self) -> Grid:
@@ -75,41 +79,33 @@ def linearized_symbol(params: ModelParams, k: np.ndarray, k2: np.ndarray) -> np.
 def make_linearized(
     params: ModelParams, grid: Grid, lattice: HalfLaplacianOperator | None = None
 ) -> LinearizedOperator:
-    """The linearized symbol on the grid's padded lattice; a given lattice
-    is reused when it belongs to the same grid."""
+    """The linearized symbol and its Green column on the grid's padded
+    lattice; a given lattice is reused when it belongs to the same grid."""
     if params.nu <= 0:
         raise ValueError("linearized operator requires nu > 0")
     if lattice is None or lattice.grid != grid:
         lattice = make_operator(grid)
     k = lattice.wavenumbers
     symbol = linearized_symbol(params, k, k**2)
-    return LinearizedOperator(params=params, lattice=lattice, symbol=symbol)
+    green = lattice_column(1.0 / symbol, lattice.padded_len, grid.n) / grid.spacing
+    return LinearizedOperator(params=params, lattice=lattice, symbol=symbol, green=green)
 
 
 def apply_linearized(w: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
-    """L w for a sample vector decaying to 0 at the ends (zero padding)."""
-    return lin.lattice.inverse(lin.symbol * lin.lattice.transform(w))
-
-
-def _solve(s: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
-    """sum_j s_j G(x_i - x_j) on the grid nodes, i.e. L^{-1} of point
-    masses s_j at the nodes: one division by the symbol on the padded
-    lattice."""
-    return lin.lattice.inverse(lin.lattice.transform(s) / lin.symbol) / lin.grid.spacing
+    """L w for a sample vector decaying to 0 at the ends (zero extension)."""
+    return toeplitz_product(lattice_column(lin.symbol, lin.lattice.padded_len, lin.grid.n), w)
 
 
 def fundamental_solution(lin: LinearizedOperator) -> np.ndarray:
-    """G on the grid nodes: inverse transform of 1 / symbol; even and
-    positive, with G(x) = O(1/x^2)."""
-    impulse = np.zeros(lin.grid.n)
-    impulse[lin.grid.center_index] = 1.0
-    return _solve(impulse, lin)
+    """G(x_i) on the grid nodes, the Green column gathered at |i - c|; even
+    and positive, with G(x) = O(1/x^2)."""
+    return lin.green[np.abs(np.arange(lin.grid.n) - lin.grid.center_index)]
 
 
 def convolve_green(f: np.ndarray, lin: LinearizedOperator) -> np.ndarray:
-    """(G * f)(x_i) by trapezoid quadrature over the grid nodes, with G
-    evaluated on the padded lattice (no truncation of G itself)."""
-    return _solve(f * trapezoid_weights(lin.grid.n, lin.grid.spacing), lin)
+    """(G * f)(x_i) by trapezoid quadrature over the grid nodes, with G the
+    padded lattice's Green column (no truncation of G itself)."""
+    return toeplitz_product(lin.green, f * trapezoid_weights(lin.grid.n, lin.grid.spacing))
 
 
 def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfile:
@@ -146,11 +142,12 @@ def fold(p: WallProfile, op: HalfLaplacianOperator | None = None) -> FoldedProfi
 
 
 def reconstructed_deviation(fp: FoldedProfile, lin: LinearizedOperator) -> np.ndarray:
-    """a G + G * f in one solve: the fold's point mass plus the weighted forcing."""
+    """a G + G * f in one product with the Green column: the fold's point
+    mass plus the weighted forcing."""
     grid = fp.grid
     s = fp.forcing * trapezoid_weights(grid.n, grid.spacing)
     s[grid.center_index] += fp.a
-    return _solve(s, lin)
+    return toeplitz_product(lin.green, s)
 
 
 def reconstruct(fp: FoldedProfile, lin: LinearizedOperator, dev: np.ndarray | None = None) -> float:

@@ -2,18 +2,17 @@
 
 The discrete model is the zero-padded FFT lattice with multiplier |k|: one
 lattice per grid, HalfLaplacianOperator, which alone chooses the padded
-length P and holds |k| (transform pads and rffts, inverse irffts and crops;
-the linearized operator in greenfn divides by its symbol through those two
-methods). Between grid nodes that lattice applies a symmetric Toeplitz
-matrix with column K_P(m) = irfft(|k|, P)[m], m < n; make_operator builds it
-once from that definition. The workhorse applies the same matrix through its
-symmetric circulant embedding at the fast length M >= 2n - 2, about P/2 and
-a power of two on grids of n = 2^k + 1 nodes (Chan & Ng, SIAM Review 38,
-1996): spectrum rffts at M, apply_spectral multiplies by the embedding's
-real spectrum and irffts, and the stray-field form pairing(u, w) is the
-Parseval sum (parseval) of two such spectra, weighted once per operator;
-callers that combine spectra linearly, like the path scan, use the same
-summation.
+length P and holds |k|. Between grid nodes a lattice multiplier sigma
+applies the symmetric Toeplitz matrix with column irfft(sigma, P)[:n]
+(lattice_column); make_operator builds the column K_P of |k| once, and
+greenfn builds those of the linearized symbol and its inverse. Every such
+column is applied through its symmetric circulant embedding at the fast
+length M >= 2n - 2, about P/2 and a power of two on grids of n = 2^k + 1
+nodes (Chan & Ng, SIAM Review 38, 1996): spectrum rffts at M,
+apply_spectral multiplies by the embedding's real spectrum of K_P and
+irffts, and the stray-field form pairing(u, w) is the Parseval sum
+(parseval) of two such spectra, weighted once per operator; callers that
+combine spectra linearly, like the path scan, use the same summation.
 The cross-check is a principal-value singular integral split at a scale
 delta, with the inner part written as a symmetrized second difference
 (removable singularity) and the outer part closed in form beyond the grid
@@ -24,8 +23,9 @@ lattice or |k|.
 
 The module is also the package's one caller of numpy's FFT for the other
 transforms it needs: the orthonormal DST-I of the solver's preconditioner
-(dst), the symmetric Toeplitz product of the oracle (toeplitz_product) and
-the choice of fast transform lengths (next_fast_len).
+(dst), the symmetric Toeplitz product of the oracle and of the Green
+function (toeplitz_product) and the choice of fast transform lengths
+(next_fast_len).
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
 """
@@ -43,6 +43,7 @@ from .model import Grid, trapezoid_weights
 __all__ = [
     "HalfLaplacianOperator",
     "make_operator",
+    "lattice_column",
     "apply_spectral",
     "apply_quadrature",
     "spectrum",
@@ -65,10 +66,9 @@ TAIL_TOL = 1e-2
 class HalfLaplacianOperator:
     """The zero-padded FFT lattice of one grid and its Toeplitz kernel.
 
-    Samples sit in the middle of a window of padded_len points; wavenumbers
-    holds |k| on the real-FFT half of the lattice. column is the lattice's
-    kernel between grid nodes, irfft(|k|, padded_len)[:n], and kernel the
-    real spectrum of its circulant embedding of length embed_len. weights
+    The lattice has padded_len points and wavenumbers holds |k| on its
+    real-FFT half. column is lattice_column of |k|, and kernel the real
+    spectrum of its circulant embedding of length embed_len. weights
     is kernel dx/embed_len with the interior real-FFT bins doubled (each
     stands for itself and its conjugate), the Parseval weights of parseval.
     """
@@ -80,24 +80,6 @@ class HalfLaplacianOperator:
     embed_len: int
     kernel: np.ndarray
     weights: np.ndarray
-
-    @property
-    def _offset(self) -> int:
-        return (self.padded_len - self.grid.n) // 2
-
-    def transform(self, v: np.ndarray) -> np.ndarray:
-        """Real-FFT spectrum of grid samples embedded in the zero-padded
-        window."""
-        if np.shape(v) != (self.grid.n,):
-            raise ValueError(f"sample length {np.shape(v)} does not match grid n={self.grid.n}")
-        buf = np.zeros(self.padded_len)
-        buf[self._offset : self._offset + self.grid.n] = v
-        return np.fft.rfft(buf)
-
-    def inverse(self, spec: np.ndarray) -> np.ndarray:
-        """Grid samples of the inverse real FFT of a lattice spectrum."""
-        buf = np.fft.irfft(spec, self.padded_len)
-        return buf[self._offset : self._offset + self.grid.n]
 
 
 def next_fast_len(target: int) -> int:
@@ -152,13 +134,20 @@ def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * np.fft.rfft(x, size), size)[..., : len(column)]
 
 
+def lattice_column(multiplier: np.ndarray, padded_len: int, n: int) -> np.ndarray:
+    """The column of a lattice multiplier (an even symbol on the real-FFT
+    half) between n grid nodes: restricted to them, its padded_len-periodic
+    circulant is the Toeplitz matrix T_ij = column[|i - j|]."""
+    return np.fft.irfft(multiplier, padded_len)[:n]
+
+
 def make_operator(grid: Grid) -> HalfLaplacianOperator:
     """Build the padded lattice for a grid, with transform length the
     smallest fast real-FFT size >= 4n, and the circulant embedding of its
     kernel between grid nodes."""
     padded_len = next_fast_len(PAD_FACTOR * grid.n)
     k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
-    column = np.fft.irfft(k, padded_len)[: grid.n]
+    column = lattice_column(k, padded_len, grid.n)
     embed_len, kernel = _circulant_spectrum(column)
     weights = kernel * (grid.spacing / embed_len)
     weights[1 : (embed_len + 1) // 2] *= 2.0

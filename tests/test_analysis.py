@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from neelwall import (
+    SolveOptions,
     WindowTooNoisyError,
     check_bounds,
     check_monotone,
@@ -13,6 +14,7 @@ from neelwall import (
     make_initial_profile,
     make_operator,
     make_params,
+    minimize,
     oracle,
     reflect_compose,
     symmetry_defect,
@@ -203,6 +205,44 @@ def test_boundary_and_tail_decay_fail_on_nan(solved, node):
         assert math.isnan(checks["boundary"]["max_defect"])
 
 
+def _gate_input(kind, grid, params, solution, op):
+    x = grid.nodes
+    bump = np.exp(-((x - 5.0) ** 2))
+    if kind == "three_step_kink_solve":
+        return minimize(_kink(grid, params), SolveOptions(max_iter=3), op=op)[0].theta
+    if kind == "small_bump":
+        return solution.theta + 1e-3 * bump
+    if kind == "large_bump":
+        return solution.theta + 0.05 * bump
+    width = {"kink_width_0.5": 0.5, "kink_width_0.1": 0.1}[kind]
+    return make_initial_profile(grid, params, kind="kink", width=width).theta
+
+
+@pytest.mark.parametrize(
+    "kind, failed",
+    [
+        ("three_step_kink_solve", {"el_residual"}),
+        ("small_bump", {"el_residual", "symmetry"}),
+        ("large_bump", {"el_residual", "monotone", "symmetry"}),
+        ("kink_width_0.5", {"decay_fit", "el_residual"}),
+        # the Green route can still fail: a wall far sharper than the solution
+        ("kink_width_0.1", {"bounds", "decay_fit", "el_residual", "reconstruction"}),
+    ],
+)
+def test_verify_fails_exactly_the_gates_a_constructed_input_breaks(kind, failed, solved, operators):
+    # inputs that are not critical points fail el_residual too: the paper's
+    # claims are about critical points. decay_prediction is skipped whenever
+    # decay_fit fails; no input found here fails it (ROADMAP item 9).
+    grid, op = operators(2049)
+    params = make_params(1.0, 0.25)
+    solution, _ = solved(1.0, 0.25, n=2049)
+    theta = _gate_input(kind, grid, params, solution, op).copy()
+    theta[0], theta[-1] = math.pi - params.theta_h, params.theta_h
+    theta[grid.center_index] = math.pi / 2
+    checks = verify(solution.with_theta(theta), op)["checks"]
+    assert {name for name, c in checks.items() if not c["passed"]} == failed
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of the package function `name` made through any module."""
     calls = []
@@ -232,7 +272,7 @@ def test_verify_evaluates_each_field_once(solved, operators, monkeypatch):
 def test_verify_builds_one_lattice_and_solves_once(solved, monkeypatch):
     p, _ = solved(1.0, 0.25)
     lattices = _count_calls(monkeypatch, "make_operator")
-    solves = _count_calls(monkeypatch, "_solve")
+    solves = _count_calls(monkeypatch, "toeplitz_product")
     report = verify(p)
     assert "decay_prediction" in report["checks"]
     assert len(lattices) == 1

@@ -131,6 +131,30 @@ def test_verify_fails_on_drifted_dirichlet_data(tmp_path):
     assert [name for name, c in checks.items() if not c["passed"]] == ["boundary"]
 
 
+def test_verify_fails_the_boundary_gate_on_an_end_value_the_stray_field_rejects(capsys, tmp_path):
+    # an end value 0.05 off theta_h leaves u 0.024 > TAIL_TOL at the grid
+    # end: verify exits 3 with the boundary gate failed, and every check
+    # that needs the stray field fails with the tail message
+    p, report = minimize(make_initial_profile(make_grid(1025, 40.0), make_params(1.0, 0.25)))
+    assert report.converged
+    theta = p.theta.copy()
+    theta[-1] += 0.05
+    prof = tmp_path / "off_end.txt"
+    save_profile(prof, p.with_theta(theta))
+    assert run(["verify", str(prof), "--out-dir", str(tmp_path)]) == 3
+    assert "FAIL boundary" in capsys.readouterr().out.splitlines()
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert checks.keys() == verify(p)["checks"].keys()
+    assert checks["boundary"]["max_defect"] == pytest.approx(0.05)
+    field_checks = ("el_residual", "bounds", "stray_crosscheck", "reconstruction", "decay_prediction")
+    for name in field_checks:
+        assert checks[name]["passed"] is False
+        assert checks[name]["error"].startswith("|input| at the grid ends is 0.024 > 0.01"), name
+    # the end jump also breaks monotonicity and the reflection symmetry
+    failed = {name for name, c in checks.items() if not c["passed"]}
+    assert failed == {"boundary", "monotone", "symmetry", *field_checks}
+
+
 def test_path_rejects_a_flat_topped_profile(tmp_path):
     grid = make_grid(257, 40.0)
     params = make_params(1.0, 0.5)

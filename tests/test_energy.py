@@ -12,7 +12,8 @@ from neelwall import (
     make_operator,
     make_params,
 )
-from neelwall.energy import energy_and_gradient, trapezoid_weights
+from neelwall.energy import energy_and_gradient
+from neelwall.model import trapezoid_weights
 
 
 def test_trapezoid_weights_sum():

@@ -10,11 +10,12 @@ from neelwall import (
     fundamental_solution,
     make_grid,
     make_linearized,
+    make_operator,
     make_params,
     reconstruct,
 )
-from neelwall.energy import trapezoid_weights
-from neelwall.greenfn import FoldedProfile, apply_linearized, convolve_green
+from neelwall.greenfn import FoldedProfile, apply_linearized, convolve_green, reconstructed_deviation
+from neelwall.model import trapezoid_weights
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +72,37 @@ def test_solve_matches_direct_convolution(nu, h):
         assert np.max(np.abs(gf - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def test_green_function_transforms_only_at_the_embedding_length(monkeypatch):
+    # the Green column is built once, by one irfft on the padded lattice;
+    # G is then gathered from it or applied through the circulant embedding
+    grid = make_grid(1025, 40.0)
+    params = make_params(1.0, 0.3)
+    op = make_operator(grid)
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def traced(a, n=None, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            out = _fft(a, n, *args, **kwargs)
+            calls.append((_name, out.shape[-1] if _name == "irfft" else n or a.shape[-1]))
+            return out
+
+        monkeypatch.setattr(np.fft, name, traced)
+    lin = make_linearized(params, grid, op)
+    assert calls == [("irfft", op.padded_len)]
+    calls.clear()
+    fundamental_solution(lin)
+    assert calls == []
+    f = np.exp(-0.25 * grid.nodes**2)
+    convolve_green(f, lin)
+    reconstructed_deviation(FoldedProfile(grid=grid, params=params, rho=f, a=0.3, forcing=f), lin)
+    assert calls and {length for _, length in calls} == {op.embed_len}
+    assert op.embed_len < op.padded_len
+
+
 def test_green_mass_is_symbol_at_zero(setup):
     params, grid, lin = setup
     g = fundamental_solution(lin)
-    mass = np.trapezoid(g, grid.nodes)
+    mass = trapezoid_weights(grid.n, grid.spacing) @ g
     assert mass == pytest.approx(1.0 / math.cos(params.theta_h) ** 2, rel=0.01)
 
 

@@ -19,8 +19,8 @@ from neelwall import (
     verify,
 )
 from neelwall.analysis import _oracle_corpus
-from neelwall.energy import trapezoid_weights
 from neelwall.halflap import default_delta, dst, next_fast_len, toeplitz_product
+from neelwall.model import trapezoid_weights
 
 
 @pytest.fixture(scope="module")
@@ -144,16 +144,25 @@ def test_seminorm_gap_is_the_periodic_image_bias(n):
         assert abs(pairing(op, u, u) - bias - qd) / qd <= 1.5e-5, name
 
 
+def _padded_spectrum(op, u):
+    """Real-FFT spectrum of the end-mean-free samples in the middle of the
+    zero-padded window of padded_len points."""
+    offset = (op.padded_len - op.grid.n) // 2
+    window = np.zeros(op.padded_len)
+    window[offset : offset + op.grid.n] = u - 0.5 * (u[0] + u[-1])
+    return offset, np.fft.rfft(window)
+
+
 def _padded_apply(op, u):
     """apply_spectral on the zero-padded lattice itself: |k| times the
     padded window's spectrum, cropped back to the grid."""
-    v = u - 0.5 * (u[0] + u[-1])
-    return op.inverse(op.transform(v) * op.wavenumbers)
+    offset, su = _padded_spectrum(op, u)
+    return np.fft.irfft(su * op.wavenumbers, op.padded_len)[offset : offset + op.grid.n]
 
 
 def _padded_pairing(op, u):
     """pairing(u, u) as the Parseval sum over the zero-padded lattice."""
-    su = op.transform(u - 0.5 * (u[0] + u[-1]))
+    _, su = _padded_spectrum(op, u)
     terms = op.wavenumbers * np.abs(su) ** 2
     total = terms[0] + 2.0 * np.sum(terms[1:-1])
     total += terms[-1] if op.padded_len % 2 == 0 else 2.0 * terms[-1]
@@ -191,8 +200,7 @@ def test_pairing_is_the_dense_toeplitz_form_at_odd_and_even_lengths(n, embed_len
 
 
 def test_only_halflap_calls_the_fft(solved, monkeypatch):
-    # every padded-lattice transform, the Green function's included, goes
-    # through HalfLaplacianOperator
+    # every transform, the Green function's included, is made in halflap
     callers = set()
     for name in ("rfft", "irfft"):
 

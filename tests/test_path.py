@@ -22,7 +22,7 @@ from neelwall import (
     stationarity_defect,
     uniqueness_certificate,
 )
-from neelwall.energy import trapezoid_weights
+from neelwall.model import trapezoid_weights
 from neelwall.path import path_velocity_norm
 
 
