@@ -5,12 +5,13 @@ defaults; the config file is flat `key = value` text. FLAGS gives each
 key's type and default and COMMANDS the keys each command reads; a flag or
 config key a command does not read is a usage error. Each command only
 reads its inputs and writes or prints what the library returns; verify
-and oracle take every gate from analysis. All file outputs are written
-atomically (temp file + rename). Exit codes: 0 ok, 1 usage or config
-error, 2 not converged, 3 verification failure, 4 certificate
-contradiction. main also sets glibc's heap thresholds once per process
-(_retain_heap), so a solve's arrays are not faulted in anew at every
-evaluation.
+and oracle take every gate from analysis. This module is the one home of
+the output formats: each JSON or CSV file is written from its result
+dataclass's own fields, read shallowly, and atomically (temp file +
+rename). Exit codes: 0 ok, 1 usage or config error, 2 not converged, 3
+verification failure, 4 certificate contradiction. main also sets glibc's
+heap thresholds once per process (_retain_heap), so a solve's arrays are
+not faulted in anew at every evaluation.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import analysis, path as pathmod, solver
 from .errors import NeelWallError
 from .model import (
+    EnergyBreakdown,
     make_grid,
     make_initial_profile,
     make_params,
@@ -71,6 +74,16 @@ def _write_json_atomic(path: str, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else f"{value:.12g}"
+
+
+def _write_csv_atomic(path: str, header, rows) -> None:
+    """One line per row, floats as .12g and booleans as true/false."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
 def _read_config(path: str, command: str) -> dict:
     """The keys of a flat `key = value` file, each converted with its flag's
     type. A key `command` does not read, or a bad value, names file:line."""
@@ -109,19 +122,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     p, report = solver.minimize(p0, _options(args))
     prof_path = os.path.join(out, "profile.txt")
     save_profile(prof_path, p)
-    _write_json_atomic(os.path.join(out, "energy.json"), report.final_energy.as_dict())
-    _write_json_atomic(
-        os.path.join(out, "report.json"),
-        {
-            "iterations": report.iterations,
-            "evaluations": report.evaluations,
-            "stop": report.stop,
-            "final_grad_norm": report.final_grad_norm,
-            "recenter_shifts": report.recenter_shifts,
-            "converged": report.converged,
-            "profile": prof_path,
-        },
-    )
+    _write_json_atomic(os.path.join(out, "energy.json"), vars(report.final_energy))
+    summary = {k: v for k, v in vars(report).items() if k != "final_energy"}
+    _write_json_atomic(os.path.join(out, "report.json"), {**summary, "profile": prof_path})
     print(
         f"solve nu={params.nu} h={params.h}: E={report.final_energy.total:.10g} "
         f"grad={report.final_grad_norm:.3g} converged={report.converged}"
@@ -145,8 +148,11 @@ def cmd_path(args: argparse.Namespace) -> int:
     p1 = recenter(load_profile(args.profile_a))
     p2 = recenter(load_profile(args.profile_b))
     verdict = pathmod.uniqueness_certificate(p1, p2, grad_tol=args.grad_tol)
-    write_text_atomic(os.path.join(out, "path.csv"), "".join(pathmod.path_csv_lines(verdict.points)))
-    _write_json_atomic(os.path.join(out, "certificate.json"), verdict.as_dict())
+    header = [f.name for f in fields(pathmod.PathPoint)]
+    _write_csv_atomic(os.path.join(out, "path.csv"), header, (vars(pt).values() for pt in verdict.points))
+    _write_json_atomic(
+        os.path.join(out, "certificate.json"), {k: v for k, v in vars(verdict).items() if k != "points"}
+    )
     print(
         f"certificate: {verdict.verdict} (min f''={verdict.min_f_second:.3g}, "
         f"|f'(0)|={abs(verdict.f_prime_at_0):.3g}, |f'(1)|={abs(verdict.f_prime_at_1):.3g}, "
@@ -170,7 +176,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     rows = solver.sweep(params_list, grid, _options(args), init=args.init)
-    write_text_atomic(os.path.join(out, "sweep.csv"), "".join(solver.sweep_csv_lines(rows)))
+    parts = [f.name for f in fields(EnergyBreakdown)]
+    raised = dict.fromkeys(parts, math.nan)  # the energy of a row whose solve raised
+    table = (
+        (r.nu, r.h, *(vars(r.energy) if r.energy else raised).values(), r.decay_c, r.max_grad, r.converged)
+        for r in rows
+    )
+    header = ["nu", "h", *parts, "decay_c", "max_grad", "converged"]
+    _write_csv_atomic(os.path.join(out, "sweep.csv"), header, table)
     for r in rows:
         status = "ok" if r.converged else (r.error or "not converged")
         total = r.energy.total if r.energy else math.nan

@@ -85,14 +85,6 @@ class EnergyBreakdown:
     stray: float
     total: float
 
-    def as_dict(self) -> dict:
-        return {
-            "exchange": self.exchange,
-            "potential": self.potential,
-            "stray": self.stray,
-            "total": self.total,
-        }
-
 
 def make_params(nu: float, h: float) -> ModelParams:
     """Validate (nu, h) and derive theta_h = arcsin(h).

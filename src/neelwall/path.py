@@ -19,7 +19,7 @@ At t = 0 and 1, f is the energy of the input profile itself, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "path_scan",
     "stationarity_defect",
     "uniqueness_certificate",
-    "path_csv_lines",
 ]
 
 RECENTRE_TOL = 1e-8
@@ -64,9 +63,6 @@ class CertificateVerdict:
     difference_tol: float
     identical_inputs: bool
     points: list[PathPoint] = field(default_factory=list, repr=False, compare=False)
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "points"}
 
 
 def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
@@ -242,7 +238,7 @@ def uniqueness_certificate(
     """Convexity-based coincidence test for two candidate solutions.
 
     Scans f'' on a 41-point t grid and evaluates f' at both endpoints; the
-    scan is kept in the verdict's points (left out of as_dict).
+    scan is kept in the verdict's points.
     If f'' > 0 throughout and both endpoint derivatives vanish (within
     10 * grad_tol * max(vel, 1), vel the larger endpoint path velocity
     norm), convexity forces the profiles to coincide; the verdict
@@ -281,13 +277,3 @@ def uniqueness_certificate(
         identical_inputs=identical,
         points=points,
     )
-
-
-def path_csv_lines(points: list[PathPoint]) -> list[str]:
-    lines = ["t,f,f_prime,f_second_fd,f_second_analytic\n"]
-    for pt in points:
-        lines.append(
-            f"{pt.t:.12g},{pt.f:.12g},{pt.f_prime:.12g},"
-            f"{pt.f_second_fd:.12g},{pt.f_second_analytic:.12g}\n"
-        )
-    return lines

@@ -61,7 +61,6 @@ __all__ = [
     "lbfgs",
     "minimize",
     "sweep",
-    "sweep_csv_lines",
 ]
 
 LBFGS_MEMORY = 30
@@ -371,22 +370,3 @@ def sweep(
                 )
             )
     return rows
-
-
-def sweep_csv_lines(rows: list[SweepRow]) -> list[str]:
-    lines = ["nu,h,exchange,potential,stray,total,decay_c,max_grad,converged\n"]
-    for r in rows:
-        if r.energy is None:
-            eb = ("nan", "nan", "nan", "nan")
-        else:
-            eb = (
-                f"{r.energy.exchange:.12g}",
-                f"{r.energy.potential:.12g}",
-                f"{r.energy.stray:.12g}",
-                f"{r.energy.total:.12g}",
-            )
-        lines.append(
-            f"{r.nu:.12g},{r.h:.12g},{eb[0]},{eb[1]},{eb[2]},{eb[3]},"
-            f"{r.decay_c:.12g},{r.max_grad:.12g},{str(r.converged).lower()}\n"
-        )
-    return lines

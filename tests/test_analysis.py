@@ -214,6 +214,14 @@ def _gate_input(kind, grid, params, solution, op):
         return solution.theta + 1e-3 * bump
     if kind == "large_bump":
         return solution.theta + 0.05 * bump
+    if kind == "tail_from_below":
+        # theta_h - (1 + 0.9 sin x)/x^2 on x >= 10, point-reflected on x <= -10:
+        # a negative tail constant, whose plateau spread must not turn negative
+        theta = solution.theta.copy()
+        far = x >= 10.0
+        theta[far] = params.theta_h - (1.0 + 0.9 * np.sin(x[far])) / x[far] ** 2
+        theta[::-1][far] = math.pi - theta[far]
+        return theta
     width = {"kink_width_0.5": 0.5, "kink_width_0.1": 0.1}[kind]
     return make_initial_profile(grid, params, kind="kink", width=width).theta
 
@@ -227,6 +235,7 @@ def _gate_input(kind, grid, params, solution, op):
         ("kink_width_0.5", {"decay_fit", "el_residual"}),
         # the Green route can still fail: a wall far sharper than the solution
         ("kink_width_0.1", {"bounds", "decay_fit", "el_residual", "reconstruction"}),
+        ("tail_from_below", {"bounds", "decay_fit", "el_residual", "monotone", "stray_crosscheck"}),
     ],
 )
 def test_verify_fails_exactly_the_gates_a_constructed_input_breaks(kind, failed, solved, operators):

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,9 @@ from neelwall import (
     verify,
 )
 import neelwall.cli as cli
+import neelwall.solver as solver
 from neelwall.cli import main
-from neelwall.path import path_csv_lines
+from neelwall.path import PathPoint
 
 FAST = ["--n", "257", "--half-width", "20", "--grad-tol", "1e-5"]
 
@@ -112,6 +114,16 @@ def test_verify_fail_on_corrupted(solved_dir, tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] is False
+
+
+def test_verify_fails_tail_decay_on_a_grid_too_coarse_for_its_window(tmp_path, capsys):
+    # at odd n <= 39 the window [0.9 L, 0.99 L] holds no node of the
+    # central differences; the check fails instead of reducing an empty array
+    assert run(["solve", "--n", "17", "--out-dir", str(tmp_path)]) == 0
+    assert run(["verify", str(tmp_path / "profile.txt"), "--out-dir", str(tmp_path)]) == 3
+    assert "FAIL tail_decay" in capsys.readouterr().out
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert checks["tail_decay"] == {"passed": False}
 
 
 def test_verify_fails_on_drifted_dirichlet_data(tmp_path):
@@ -229,8 +241,8 @@ def test_path_same_profile_coincides(solved_dir, tmp_path):
 
 
 def test_path_outputs_match_one_scan(solved_dir, tmp_path):
-    # path.csv comes from the certificate's own scan; both files must equal
-    # those of a separate scan and certificate
+    # path.csv comes from the certificate's own scan; its cells and the
+    # certificate's keys must be a separate scan's and certificate's fields
     prof = load_profile(solved_dir / "profile.txt")
     kink = make_initial_profile(prof.grid, prof.params, kind="kink", width=2.0)
     save_profile(tmp_path / "kink.txt", kink)
@@ -239,11 +251,15 @@ def test_path_outputs_match_one_scan(solved_dir, tmp_path):
     assert code == 0
     p1, p2 = recenter(prof), recenter(kink)
     op = make_operator(p1.grid)
-    csv = "".join(path_csv_lines(path_scan(p1, p2, op=op)))
-    cert = json.dumps(uniqueness_certificate(p1, p2, op=op).as_dict(), indent=2, sort_keys=True)
-    assert (tmp_path / "path.csv").read_bytes() == csv.encode()
-    assert (tmp_path / "certificate.json").read_bytes() == (cert + "\n").encode()
-    assert json.loads(cert)["verdict"] == "NOT_BOTH_SOLUTIONS"
+    names = [f.name for f in fields(PathPoint)]
+    rows = [[f"{getattr(pt, name):.12g}" for name in names] for pt in path_scan(p1, p2, op=op)]
+    lines = (tmp_path / "path.csv").read_text().splitlines()
+    assert lines[0].split(",") == names
+    assert [line.split(",") for line in lines[1:]] == rows
+    verdict = uniqueness_certificate(p1, p2, op=op)
+    expected = {f.name: getattr(verdict, f.name) for f in fields(verdict) if f.name != "points"}
+    assert json.loads((tmp_path / "certificate.json").read_text()) == expected
+    assert expected["verdict"] == "NOT_BOTH_SOLUTIONS"
 
 
 def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
@@ -287,6 +303,24 @@ def test_sweep_csv(tmp_path):
     first = (tmp_path / "sweep.csv").read_bytes()
     assert run(argv) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first
+
+
+def test_sweep_csv_prints_a_failed_row_as_nan(tmp_path, monkeypatch):
+    minimize = solver.minimize
+
+    def fail_one(p0, *args, **kwargs):
+        if (p0.params.nu, p0.params.h) == (1.0, 0.5):
+            raise RuntimeError("injected")
+        return minimize(p0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", fail_one)
+    argv = ["sweep", "--nu-list", "1", "--h-list", "0,0.5", "--out-dir", str(tmp_path)] + FAST
+    assert run(argv) == 2
+    ok, failed = (line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:])
+    assert ok[-1] == "true" and "nan" not in ok[2:6]
+    assert failed[:2] == ["1", "0.5"]
+    assert failed[2:6] == ["nan"] * 4
+    assert failed[-1] == "false"
 
 
 def test_oracle(capsys):

@@ -15,7 +15,7 @@ from neelwall import (
     uniqueness_certificate,
 )
 from neelwall.model import ModelParams, WallProfile
-from neelwall.solver import SolveOptions, _block_scale, sweep, sweep_csv_lines
+from neelwall.solver import SolveOptions, _block_scale, sweep
 
 
 def test_options_validation():
@@ -64,9 +64,6 @@ def test_sweep_rows_and_error_isolation():
     assert len(rows) == 2
     assert rows[0].converged and rows[0].error == ""
     assert not rows[1].converged and rows[1].error != ""
-    lines = sweep_csv_lines(rows)
-    assert lines[0].startswith("nu,h,exchange")
-    assert len(lines) == 3
 
 
 def test_sweep_empty():
