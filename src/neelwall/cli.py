@@ -154,9 +154,9 @@ def cmd_path(args: argparse.Namespace) -> int:
         os.path.join(out, "certificate.json"), {k: v for k, v in vars(verdict).items() if k != "points"}
     )
     print(
-        f"certificate: {verdict.verdict} (min f''={verdict.min_f_second:.3g}, "
-        f"|f'(0)|={abs(verdict.f_prime_at_0):.3g}, |f'(1)|={abs(verdict.f_prime_at_1):.3g}, "
-        f"sup diff={verdict.sup_difference:.3g})"
+        f"certificate: {verdict.verdict} (max grad={verdict.max_grad_1:.3g}/{verdict.max_grad_2:.3g}, "
+        f"s distance={verdict.s_distance:.3g}, radii={verdict.radius_1:.3g}+{verdict.radius_2:.3g}, "
+        f"min f''={verdict.min_f_second:.3g})"
     )
     return EXIT_CONTRADICTION if verdict.verdict == "CONTRADICTION" else EXIT_OK
 

@@ -33,6 +33,7 @@ __all__ = [
     "energy_gradient",
     "energy_and_gradient",
     "energy_parts",
+    "grad_norm",
 ]
 
 
@@ -65,6 +66,12 @@ def energy_and_gradient(
     force *= dx
     inner += force
     return energy_parts(theta, u, dx, stray), g
+
+
+def grad_norm(g: np.ndarray, dx: float) -> float:
+    """sup|g|/dx of an energy_and_gradient gradient, center node included:
+    the stationarity measure a solve stops on at grad_tol."""
+    return float(np.max(np.abs(g))) / dx
 
 
 def energy_parts(

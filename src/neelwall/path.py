@@ -1,19 +1,25 @@
-"""Arcsin interpolation between wall profiles and convexity certificates.
+"""Arcsin interpolation between wall profiles and the uniqueness certificate.
 
 Two profiles with theta(0) = pi/2 are joined by the path defined through
 sin theta^t = s = t sin theta_1 + (1 - t) sin theta_2, with the branch
 pi - arcsin picked for x < 0. The energy along the path, f(t), is convex;
 its first and second t-derivatives are computed exactly for the discrete
-energy, so finite differences of f reproduce them to roundoff. Strict
-convexity plus vanishing endpoint derivatives certifies that two solutions
-coincide.
+energy, so finite differences of f reproduce them to roundoff.
 
-A scan follows that definition: each t takes one arcsin, and cos theta^t
-= +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t = s - h =
-t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic in t
-whose coefficients come from three real FFTs on the padded lattice,
-whatever the number of t points: the spectra of u_1, u_2 and du = u_1 - u_2.
-At t = 0 and 1, f is the energy of the input profile itself, bit for bit.
+On the branch box B (theta in [0, pi/2] on x > 0, in [pi/2, pi] on x < 0)
+the discrete energy is dx-strongly convex in s = sin theta on the free
+nodes (all but both ends and the pinned center): (arcsin a - arcsin b)^2
+is convex on [0, 1]^2, the potential has modulus dx and the stray pairing
+is positive semidefinite. So B holds at most one critical point s*, and a
+profile with gradient g lies within r = ||g / cos theta||_2 / sqrt(dx) of
+it in L^2 (||v||_L2 = sqrt(dx) ||v||_2), the radius the certificate uses.
+
+A scan follows the path's definition: each t takes one arcsin, and cos
+theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
+s - h = t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic
+in t whose coefficients come from three real FFTs, whatever the number of t
+points: the spectra of u_1, u_2 and du = u_1 - u_2. At t = 0 and 1, f is
+the energy of the input profile itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy_parts
+from .energy import energy_and_gradient, energy_parts, grad_norm
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, parseval, spectrum
 from .model import Grid, WallProfile, trapezoid_weights
+from .solver import SolveOptions
 
 __all__ = [
     "PathPoint",
@@ -40,7 +47,6 @@ __all__ = [
 RECENTRE_TOL = 1e-8
 CLAMP_SLACK = 1e-15
 DEFAULT_T_POINTS = 41
-DIFFERENCE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -54,13 +60,16 @@ class PathPoint:
 
 @dataclass(frozen=True)
 class CertificateVerdict:
+    """The verdict, the scan's smallest f'', the L^2 distance in s and each
+    profile's sup|g|/dx and radius."""
+
     verdict: str
     min_f_second: float
-    f_prime_at_0: float
-    f_prime_at_1: float
-    sup_difference: float
-    derivative_tol: float
-    difference_tol: float
+    s_distance: float
+    max_grad_1: float
+    max_grad_2: float
+    radius_1: float
+    radius_2: float
     identical_inputs: bool
     points: list[PathPoint] = field(default_factory=list, repr=False, compare=False)
 
@@ -74,6 +83,14 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
         if abs(p.theta[c] - math.pi / 2.0) > RECENTRE_TOL:
             raise NotRecentredError(
                 f"theta(0) = {p.theta[c]:.12g}, expected pi/2; recenter first"
+            )
+        lo = np.where(p.grid.nodes > 0.0, 0.0, math.pi / 2.0)
+        outside = np.flatnonzero(~((lo <= p.theta) & (p.theta <= lo + math.pi / 2.0)))  # NaN too
+        outside = outside[outside != c]
+        if len(outside):
+            raise RangeViolationError(
+                f"theta = {p.theta[outside[0]]:.12g} at node {outside[0]} leaves the branch box "
+                "[0, pi/2] on x > 0, [pi/2, pi] on x < 0"
             )
         flat = np.flatnonzero(np.abs(np.sin(p.theta)) == 1.0)
         flat = flat[flat != c]
@@ -229,51 +246,56 @@ def stationarity_defect(
     return path_scan(p_candidate, p_other, [1.0], op)[0].f_prime
 
 
+def _solution_measures(p: WallProfile, op: HalfLaplacianOperator) -> tuple[float, float]:
+    """sup|g|/dx and the radius ||g / cos theta||_2 / sqrt(dx) over the
+    free nodes."""
+    g = energy_and_gradient(p, op)[1]
+    dx, c = p.grid.spacing, p.grid.center_index
+    free = np.r_[1:c, c + 1 : p.grid.n - 1]
+    g_s = g[free] / np.cos(p.theta[free])
+    return grad_norm(g, dx), float(np.linalg.norm(g_s)) / math.sqrt(dx)
+
+
 def uniqueness_certificate(
     p1: WallProfile,
     p2: WallProfile,
     op: HalfLaplacianOperator | None = None,
     grad_tol: float = 1e-6,
 ) -> CertificateVerdict:
-    """Convexity-based coincidence test for two candidate solutions.
+    """Convexity-based coincidence test for two candidate solutions in B.
 
-    Scans f'' on a 41-point t grid and evaluates f' at both endpoints; the
-    scan is kept in the verdict's points.
-    If f'' > 0 throughout and both endpoint derivatives vanish (within
-    10 * grad_tol * max(vel, 1), vel the larger endpoint path velocity
-    norm), convexity forces the profiles to coincide; the verdict
-    cross-checks this against sup|theta_1 - theta_2| <= DIFFERENCE_TOL and
-    flags CONTRADICTION when they disagree, which would indicate an
-    implementation fault rather than a counterexample. The floor of 1 on
-    vel lets a slow path pass the derivative test without joining two
-    solutions: a converged solve against a three-step kink solve (n = 1025,
-    nu = 2, h = 0.3) reads CONTRADICTION. ROADMAP item 5 derives the
-    tolerance from the dual norm of each endpoint's gradient instead.
+    A profile is a solution when sup|g|/dx <= grad_tol, the test a solve
+    stops on; either failing it (NaN included) reads NOT_BOTH_SOLUTIONS.
+    Two solutions at L^2 distance d in s COINCIDE when d <= r_1 + r_2, and
+    read CONTRADICTION otherwise, which the convexity in s forbids: it
+    flags an implementation fault, not a counterexample. Identical inputs
+    coincide. The verdict keeps the 41-point scan of the path in points.
     """
+    SolveOptions(grad_tol=grad_tol)  # the solver's own check of grad_tol
     _require_pair(p1, p2)
     op = op or make_operator(p1.grid)
-    sup_diff = float(np.max(np.abs(p1.theta - p2.theta)))
-    identical = sup_diff == 0.0
+    identical = bool(np.array_equal(p1.theta, p2.theta))
     points = path_scan(p1, p2, op=op)
-    min_fpp = min(pt.f_second_analytic for pt in points)
-    fp0 = points[0].f_prime
-    fp1 = points[-1].f_prime
-    vel = max(path_velocity_norm(p1, p2, 0.0), path_velocity_norm(p1, p2, 1.0))
-    deriv_tol = 10.0 * grad_tol * max(vel, 1.0)
+    grad_1, radius_1 = _solution_measures(p1, op)
+    grad_2, radius_2 = _solution_measures(p2, op)
+    ds = np.sin(p1.theta) - np.sin(p2.theta)
+    distance = math.sqrt(p1.grid.spacing) * float(np.linalg.norm(ds))
     if identical:
         verdict = "COINCIDE"
-    elif abs(fp0) <= deriv_tol and abs(fp1) <= deriv_tol and min_fpp > 0.0:
-        verdict = "COINCIDE" if sup_diff <= DIFFERENCE_TOL else "CONTRADICTION"
-    else:
+    elif not (grad_1 <= grad_tol and grad_2 <= grad_tol):
         verdict = "NOT_BOTH_SOLUTIONS"
+    elif distance <= radius_1 + radius_2:
+        verdict = "COINCIDE"
+    else:
+        verdict = "CONTRADICTION"
     return CertificateVerdict(
         verdict=verdict,
-        min_f_second=min_fpp,
-        f_prime_at_0=fp0,
-        f_prime_at_1=fp1,
-        sup_difference=sup_diff,
-        derivative_tol=deriv_tol,
-        difference_tol=DIFFERENCE_TOL,
+        min_f_second=min(pt.f_second_analytic for pt in points),
+        s_distance=distance,
+        max_grad_1=grad_1,
+        max_grad_2=grad_2,
+        radius_1=radius_1,
+        radius_2=radius_2,
         identical_inputs=identical,
         points=points,
     )

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .energy import energy_and_gradient
+from .energy import energy_and_gradient, grad_norm
 from .errors import WindowTooNoisyError
 from .greenfn import linearized_symbol
 from .halflap import HalfLaplacianOperator, dst, make_operator
@@ -104,10 +104,6 @@ class SolveReport:
     converged: bool
     evaluations: int
     stop: str
-
-
-def _grad_norm(g: np.ndarray, dx: float) -> float:
-    return float(np.max(np.abs(g))) / dx
 
 
 def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
@@ -282,7 +278,7 @@ def minimize(
     def fg(z: np.ndarray):
         theta = to_theta(z)
         eb, g = energy_and_gradient(p.with_theta(theta), op)
-        last.update(z=z, theta=theta, eb=eb, gnorm=_grad_norm(g, dx))
+        last.update(z=z, theta=theta, eb=eb, gnorm=grad_norm(g, dx))
         gz = dst(np.stack((g[left], g[right])))
         gz *= scale
         return eb.total, gz.ravel()

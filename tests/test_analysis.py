@@ -252,6 +252,17 @@ def test_verify_fails_exactly_the_gates_a_constructed_input_breaks(kind, failed,
     assert {name for name, c in checks.items() if not c["passed"]} == failed
 
 
+@pytest.mark.parametrize("nu", [1.0, 10.0])
+def test_verify_fails_the_tail_gates_on_a_converged_solve_whose_tilt_length_outruns_the_window(nu, solved, operators):
+    # at h = 0.99 the tilt length 1/cos theta_h ~ 7 puts the tail's start past
+    # the fit window at L = 40 (ROADMAP item 4): converged, yet not resolved
+    _, op = operators(2049)
+    p, report = solved(nu, 0.99, n=2049)
+    assert report.converged
+    checks = verify(p, op)["checks"]
+    assert {name for name, c in checks.items() if not c["passed"]} == {"decay_fit", "tail_decay"}
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of the package function `name` made through any module."""
     calls = []

@@ -277,11 +277,31 @@ def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
             str(out2 / "profile.txt"),
             "--out-dir",
             str(tmp_path),
+            "--grad-tol",
+            "1e-5",
         ]
     )
     assert code == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] == "COINCIDE"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_path_with_a_grad_tol_that_is_not_positive_and_finite_exits_1(tol, solved_dir, tmp_path, capsys):
+    prof = str(solved_dir / "profile.txt")
+    assert run(["path", prof, prof, "--grad-tol", tol, "--out-dir", str(tmp_path)]) == 1
+    assert "grad_tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_path_rejects_a_profile_outside_the_branch_box(solved_dir, tmp_path, capsys):
+    # theta below 0 on x > 0: the arcsin path and the radius are not defined there
+    p = load_profile(solved_dir / "profile.txt")
+    theta = p.theta.copy()
+    theta[-2] = -1e-3
+    save_profile(tmp_path / "under.txt", p.with_theta(theta))
+    prof = str(solved_dir / "profile.txt")
+    assert run(["path", prof, str(tmp_path / "under.txt"), "--out-dir", str(tmp_path)]) == 1
+    assert f"node {p.grid.n - 2}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lists", [["--nu-list", ""], ["--nu-list", ","], ["--h-list", " , "]])

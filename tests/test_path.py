@@ -244,20 +244,87 @@ def test_scan_takes_one_arcsin_per_t_and_no_cos(monkeypatch):
     assert per_scan[0]["sin"] == per_scan[1]["sin"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="deriv_tol's max(vel, 1) floor passes f'(0) = -3.0e-6 on a path of velocity "
-    "1.2e-3, so the verdict is CONTRADICTION (ROADMAP item 5)",
-)
-def test_certificate_rejects_converged_against_three_step_solve(solved, operators):
-    grid, op = operators(1025)
-    params = make_params(2.0, 0.3)
-    p, report = solved(2.0, 0.3, n=1025)
+@pytest.mark.parametrize("nu, h, n", [(2.0, 0.3, 1025), (1.0, 0.25, 4097)])
+def test_certificate_rejects_converged_against_three_step_solve(nu, h, n, solved, operators):
+    # the kink partner is no solution: its sup|g|/dx is 2.8e-3 and 8.9e-4
+    grid, op = operators(n)
+    params = make_params(nu, h)
+    p, report = solved(nu, h, n=n)
     q, early = minimize(make_initial_profile(grid, params, kind="kink"), SolveOptions(max_iter=3), op)
     assert report.converged and not early.converged
     v = uniqueness_certificate(recenter(p), recenter(q), op=op)
     assert v.verdict == "NOT_BOTH_SOLUTIONS"
+    assert v.max_grad_1 <= 1e-6 < v.max_grad_2
+
+
+def test_arcsin_distance_is_convex_on_the_unit_square(rng):
+    # phi(a, b) = (arcsin a - arcsin b)^2, with alpha = arcsin a, beta = arcsin b
+    # and delta = alpha - beta: phi_aa = 2 alpha'^2 + 2 delta alpha'' and
+    # det = 4 delta alpha'^2 beta'^2 [tan alpha - tan beta - delta tan alpha tan beta]
+    a, b = rng.uniform(0.0, 1.0, size=(2, 20000))
+    a[:2000] = 1.0 - rng.uniform(0.0, 1e-6, 2000)
+    b[1000:3000] = 1.0 - rng.uniform(0.0, 1e-6, 2000)
+    alpha, beta = np.arcsin(a), np.arcsin(b)
+    delta = alpha - beta
+    da, db = 1.0 / np.sqrt((1.0 - a) * (1.0 + a)), 1.0 / np.sqrt((1.0 - b) * (1.0 + b))
+    phi_aa = 2.0 * da**2 + 2.0 * delta * a * da**3
+    phi_bb = 2.0 * db**2 - 2.0 * delta * b * db**3
+    phi_ab = -2.0 * da * db
+    tan_a, tan_b = np.tan(alpha), np.tan(beta)
+    det = 4.0 * delta * da**2 * db**2 * (tan_a - tan_b - delta * tan_a * tan_b)
+    assert np.all(phi_aa > 0.0)
+    assert np.all(det >= 0.0)
+    # the factored determinant is the determinant of the entries
+    scale = np.abs(phi_aa * phi_bb) + phi_ab**2
+    assert np.max(np.abs(det - (phi_aa * phi_bb - phi_ab**2)) / scale) <= 1e-10
+
+
+@pytest.mark.parametrize("which", ["solutions", "kinks"])
+def test_scan_second_derivative_is_at_least_the_convexity_modulus(which, solution_pair, operators):
+    # the exchange term is convex in s, so f'' is at least the potential's
+    # and the stray term's part: sum w ds^2 + (nu/2) pairing(ds, ds)
+    p1, p2 = solution_pair if which == "solutions" else _kink_pair(1.0)
+    _, op = operators()
+    ds = np.sin(p1.theta) - np.sin(p2.theta)
+    w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
+    lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, ds, ds)
+    assert lower > 0.0
+    assert all(pt.f_second_analytic >= lower for pt in path_scan(p1, p2, op=op))
+
+
+@pytest.mark.parametrize("nu, h", [(0.5, 0.0), (1.0, 0.25), (4.0, 0.75)])
+@pytest.mark.parametrize("max_iter", [2, 5, 10])
+def test_radius_bounds_the_distance_of_a_partial_solve(nu, h, max_iter, operators):
+    # E is dx-strongly convex in s on the branch box, so a profile lies within
+    # its radius of the critical point there, here a solve at 1e-11; a solve
+    # cut after max_iter steps of a kink start is 4e-9 to 2e-2 from it
+    grid, op = operators(1025)
+    params = make_params(nu, h)
+    ref, ref_report = minimize(make_initial_profile(grid, params), SolveOptions(grad_tol=1e-11), op)
+    partial, _ = minimize(make_initial_profile(grid, params, kind="kink"), SolveOptions(max_iter=max_iter), op)
+    assert ref_report.converged
+    v = uniqueness_certificate(partial, ref, op=op)
+    assert v.radius_2 <= 1e-3 * v.radius_1
+    assert v.s_distance <= v.radius_1
+
+
+def test_certificate_coincides_within_the_radii_of_two_solutions(solution_pair, operators):
+    _, op = operators()
+    v = uniqueness_certificate(*solution_pair, op=op)
+    assert v.verdict == "COINCIDE"
+    assert max(v.max_grad_1, v.max_grad_2) <= 1e-6
+    assert 0.0 < v.s_distance <= 0.1 * (v.radius_1 + v.radius_2)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_requires_profiles_in_the_branch_box(side, pair):
+    # theta past pi/2 on x > 0 (or short of it on x < 0) leaves the arcsin branch
+    p1, p2 = pair
+    c = p1.grid.center_index
+    theta = p1.theta.copy()
+    theta[c + 3 * side] = math.pi / 2 + side * 1e-3
+    with pytest.raises(RangeViolationError, match=f"node {c + 3 * side}"):
+        uniqueness_certificate(p1.with_theta(theta), p2)
 
 
 def _per_t_reference(p1, p2, t, op):
