@@ -34,4 +34,6 @@ class FlatTopError(NeelWallError):
 
 
 class RangeViolationError(NeelWallError):
-    """Interpolated sine values left [-1, 1] by more than roundoff slack."""
+    """A path input out of range: a profile off the branch box (theta in
+    [0, pi/2] on x > 0, in [pi/2, pi] on x < 0) or a path parameter t
+    outside [0, 1]."""

@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 RECENTRE_TOL = 1e-8
-CLAMP_SLACK = 1e-15
 DEFAULT_T_POINTS = 41
 
 
@@ -100,19 +99,22 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
             )
 
 
+def _require_unit_interval(t) -> None:
+    """Every t must lie in the path's domain [0, 1]; NaN fails too."""
+    t = np.asarray(t, dtype=float)
+    outside = t[~((0.0 <= t) & (t <= 1.0))]
+    if outside.size:
+        raise RangeViolationError(f"t = {float(outside[0])!r} lies outside the path's domain [0, 1]")
+
+
 def _path_theta(
     grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """theta^t and the clipped mixed sine s = t sin1 + (1-t) sin2; theta^t
-    takes the branch pi - arcsin on x < 0, with the center node pinned at
-    pi/2."""
-    s = t * sin1 + (1.0 - t) * sin2
-    excess = float(np.max(np.abs(s))) - 1.0
-    if excess > CLAMP_SLACK:
-        raise RangeViolationError(
-            f"interpolated sine exceeds 1 by {excess:.3g}; inputs out of range"
-        )
-    s = np.clip(s, -1.0, 1.0)
+    """theta^t and the mixed sine s = t sin1 + (1-t) sin2; theta^t takes the
+    branch pi - arcsin on x < 0, with the center node pinned at pi/2. Both
+    sines lie in [0, 1] on the branch box and t in [0, 1], so s exceeds 1 by
+    rounding only, and is clipped there."""
+    s = np.minimum(t * sin1 + (1.0 - t) * sin2, 1.0)
     arcsin = np.arcsin(s)
     theta = np.where(grid.nodes >= 0.0, arcsin, math.pi - arcsin)
     theta[grid.center_index] = math.pi / 2.0
@@ -121,8 +123,10 @@ def _path_theta(
 
 def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProfile:
     """Profile theta^t with sin theta^t = t sin theta_1 + (1-t) sin theta_2,
-    branch pi - arcsin on x < 0; the center node is pi/2 for every t."""
+    branch pi - arcsin on x < 0; the center node is pi/2 for every t.
+    Raises RangeViolationError unless 0 <= t <= 1."""
     _require_pair(p1, p2)
+    _require_unit_interval(t)
     if t == 1.0:
         return p1.with_theta(p1.theta.copy())
     if t == 0.0:
@@ -176,8 +180,9 @@ def path_scan(
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, DEFAULT_T_POINTS)
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid > 1.0) or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be sorted within [0, 1]")
+    _require_unit_interval(t_grid)
+    if np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be sorted")
     op = op or make_operator(p1.grid)
     grid, dx = p1.grid, p1.grid.spacing
     nu, h = p1.params.nu, p1.params.h
@@ -228,6 +233,8 @@ def path_scan(
 
 def path_velocity_norm(p1: WallProfile, p2: WallProfile, t: float) -> float:
     """L2 norm of the pointwise path velocity theta^t_t."""
+    _require_pair(p1, p2)
+    _require_unit_interval(t)
     dt1 = _nodal_t_derivatives(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[2]
     w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
     return math.sqrt(float(np.dot(w, dt1 * dt1)))
@@ -272,10 +279,9 @@ def uniqueness_certificate(
     coincide. The verdict keeps the 41-point scan of the path in points.
     """
     SolveOptions(grad_tol=grad_tol)  # the solver's own check of grad_tol
-    _require_pair(p1, p2)
     op = op or make_operator(p1.grid)
+    points = path_scan(p1, p2, op=op)  # checks the pair
     identical = bool(np.array_equal(p1.theta, p2.theta))
-    points = path_scan(p1, p2, op=op)
     grad_1, radius_1 = _solution_measures(p1, op)
     grad_2, radius_2 = _solution_measures(p2, op)
     ds = np.sin(p1.theta) - np.sin(p2.theta)

@@ -12,8 +12,9 @@ lambda, and L-BFGS iterates on the coefficients z with theta_block =
 theta_start + D(lambda^(-1/2) z), whose gradient is lambda^(-1/2) D g. This
 removes the dx^-2 condition number of the exchange term, so the iteration
 count does not grow with n, and it costs 2 DSTs and one evaluation per
-L-BFGS function call. The evaluation that met the tolerance is handed on to
-the report, so nothing is evaluated twice.
+L-BFGS function call. Each evaluation reports theta, the energy breakdown
+and sup|gradient|/dx with its energy and gradient, and lbfgs hands back
+those of the point it stopped on, so nothing is evaluated twice.
 
 A solve stops on the acceptance quantity itself, the full sup|gradient|/dx
 <= grad_tol with the pinned center node included, which matches the
@@ -21,13 +22,14 @@ continuum Euler-Lagrange residual scale, not on the energy decrease (which
 cannot resolve steps below ~eps E on fine grids). The pin removes the
 translation degeneracy (the discrete energy is flat along sub-grid
 translations) and is inactive at the symmetric minimizer, where the full
-gradient vanishes. The line search of lbfgs accepts a strong Wolfe step,
-or, where rounding hides the decrease, an approximate Wolfe step (Hager and
-Zhang, SIAM J. Optim. 16, 2005) that raises E by at most ROUNDOFF |E|. A
-solve is one L-BFGS run. Short of the tolerance, it ends after PATIENCE
-consecutive accepted steps that lower neither E nor the run's best
-sup|gradient|, or when the line search finds no step. The result keeps
-theta(0) = pi/2 and the input's end values exactly.
+gradient vanishes. The line search of lbfgs tries the unit step, then
+halves it, and accepts the first step that meets the sufficient decrease
+condition or, where rounding hides the decrease, an approximate Wolfe step
+(Hager and Zhang, SIAM J. Optim. 16, 2005) that raises E by at most
+ROUNDOFF |E|. A solve is one L-BFGS run. Short of the tolerance, it ends
+after PATIENCE consecutive accepted steps that lower neither E nor the
+run's best sup|gradient|, or when the line search finds no step. The result
+keeps theta(0) = pi/2 and the input's end values exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -68,9 +71,9 @@ LBFGS_MEMORY = 30
 # (E unchanged to the bit, sup|g| up 0.6 %) occurs before convergence at
 # n = 257, nu = 10, h = 0 from the perturbed start
 PATIENCE = 2
-# line search: sufficient decrease and curvature constants of the Wolfe
-# conditions, the energy rise the approximate Wolfe test forgives as
-# rounding (relative to |E|), and the evaluations one search may take
+# line search: the sufficient decrease constant, the curvature constant and
+# the energy rise (relative to |E|) of the approximate Wolfe test, and the
+# evaluations one search may take
 WOLFE_DECREASE = 1e-4
 WOLFE_CURVATURE = 0.9
 ROUNDOFF = 1e-13
@@ -92,10 +95,9 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one minimize. iterations and evaluations are the L-BFGS
-    run's nit and nfev, plus one evaluation when the run returned a point it
-    had not evaluated last; stop is why the solve ended: "grad_tol" (the
-    full gradient met the tolerance), "max_iter" (the iteration budget ran
-    out) or "stalled" (the run ended without progress)."""
+    run's nit and nfev; stop is why the solve ended: "grad_tol" (the full
+    gradient met the tolerance), "max_iter" (the iteration budget ran out)
+    or "stalled" (the run ended without progress)."""
 
     iterations: int
     final_energy: EnergyBreakdown
@@ -119,10 +121,12 @@ def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LbfgsResult:
-    """Where one lbfgs run ended: its last accepted point x, the iterations
-    (accepted steps) nit and the function evaluations nfev it took."""
+    """Where one lbfgs run ended: its last accepted point x, the info that
+    fg reported at x, the iterations (accepted steps) nit and the function
+    evaluations nfev it took."""
 
     x: np.ndarray
+    info: Any
     nit: int
     nfev: int
 
@@ -143,80 +147,56 @@ def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
     return d
 
 
-def _cubic_step(lo: tuple, hi: tuple) -> float:
-    """Minimizer of the cubic through the (t, f, slope) triples lo and hi,
-    kept in the middle 80 % of the bracket; the midpoint when the cubic has
-    no usable minimizer there."""
-    (a, fa, da), (b, fb, db) = lo, hi
-    d1 = da + db - 3.0 * (fa - fb) / (a - b)
-    disc = d1 * d1 - da * db
-    lo_end, hi_end = min(a, b), max(a, b)
-    margin = 0.1 * (hi_end - lo_end)
-    if disc >= 0.0:
-        d2 = math.copysign(math.sqrt(disc), b - a)
-        denom = db - da + 2.0 * d2
-        t = b - (b - a) * (db + d2 - d1) / denom if denom else math.nan
-        if lo_end + margin <= t <= hi_end - margin:
-            return t
-    return 0.5 * (a + b)
-
-
 def _line_search(fg, x, f0, d, slope0, done):
     """Step t along the descent direction d from (x, f0), slope0 = g.d < 0.
 
-    Trials start at t = 1, widen fourfold until a bracket is found and then
-    zoom by safeguarded cubic interpolation (Nocedal and Wright, Numerical
-    Optimization, 2nd ed., alg. 3.5-3.6). A trial is accepted when the slope
-    has shrunk to |g.d| <= WOLFE_CURVATURE |slope0| and E meets either the
-    sufficient decrease condition or E <= f0 + ROUNDOFF |f0|, or when done()
-    holds after its evaluation. Returns ((x_t, f_t, g_t) or None, the
-    number of evaluations).
+    Trials take t = 1, 1/2, 1/4, ... and the first one that meets any of
+    these is accepted: done(info) holds after its evaluation; E meets the
+    sufficient decrease condition E <= f0 + WOLFE_DECREASE t slope0; or E
+    <= f0 + ROUNDOFF |f0| and |g.d| <= WOLFE_CURVATURE |slope0|, the
+    approximate Wolfe step of Hager and Zhang (SIAM J. Optim. 16, 2005) for
+    where rounding hides the decrease. Returns ((x_t, f_t, g_t, info_t), or
+    None when none of LINE_SEARCH_EVALS trials is accepted, and the number
+    of evaluations).
     """
-    lo, hi = (0.0, f0, slope0), None
     t = 1.0
     for evals in range(1, LINE_SEARCH_EVALS + 1):
         xt = x + t * d
-        f, g = fg(xt)
-        slope = float(g @ d)
-        decrease = f <= f0 + WOLFE_DECREASE * t * slope0
-        if done() or (
-            abs(slope) <= -WOLFE_CURVATURE * slope0
-            and (decrease or f <= f0 + ROUNDOFF * abs(f0))
+        f, g, info = fg(xt)
+        if (
+            done(info)
+            or f <= f0 + WOLFE_DECREASE * t * slope0
+            or (f <= f0 + ROUNDOFF * abs(f0) and abs(float(g @ d)) <= -WOLFE_CURVATURE * slope0)
         ):
-            return (xt, f, g), evals
-        if not decrease or f >= lo[1]:
-            hi = (t, f, slope)
-        else:
-            if slope * ((math.inf if hi is None else hi[0]) - lo[0]) >= 0:
-                hi = lo
-            lo = (t, f, slope)
-        t = 4.0 * lo[0] if hi is None else _cubic_step(lo, hi)
+            return (xt, f, g, info), evals
+        t *= 0.5
     return None, LINE_SEARCH_EVALS
 
 
 def lbfgs(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray, Any]],
     x0: np.ndarray,
     max_iter: int,
-    done: Callable[[], bool],
+    done: Callable[[Any], bool],
 ) -> LbfgsResult:
-    """Minimize f from x0 by L-BFGS, fg(x) returning (f, gradient).
+    """Minimize f from x0 by L-BFGS, fg(x) returning (f, gradient, info),
+    where info is whatever the caller wants back about the evaluation.
 
     The direction comes from the two-loop recursion over the last
     LBFGS_MEMORY steps, and each line search tries the unit step along it
     first (on the first iteration, the plain gradient step, which suits
     coordinates preconditioned to a near-identity Hessian). The run ends
-    after max_iter accepted steps, when done() holds after an
+    after max_iter accepted steps, when done(info) holds after an
     evaluation, when the direction is not one of descent (a zero gradient),
     when the line search finds no step, or after PATIENCE consecutive
     accepted steps that lower neither f nor the run's best sup|gradient|.
     """
     x = np.array(x0, dtype=float)
-    f, g = fg(x)
+    f, g, info = fg(x)
     nfev, nit, idle = 1, 0, 0
     best = float(np.max(np.abs(g)))
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
-    while nit < max_iter and not done():
+    while nit < max_iter and not done(info):
         d = _two_loop(g, pairs)
         slope = float(g @ d)
         if not slope < 0.0:
@@ -226,7 +206,7 @@ def lbfgs(
         if step is None:
             break
         nit += 1
-        x_new, f_new, g_new = step
+        x_new, f_new, g_new, info = step
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -236,7 +216,7 @@ def lbfgs(
         x, f, g, best = x_new, f_new, g_new, min(best, gnorm)
         if idle == PATIENCE:
             break
-    return LbfgsResult(x=x, nit=nit, nfev=nfev)
+    return LbfgsResult(x=x, info=info, nit=nit, nfev=nfev)
 
 
 def minimize(
@@ -248,12 +228,12 @@ def minimize(
 
     p0 is recentred once, and the center value is then pinned at pi/2. One
     run of preconditioned L-BFGS, with the whole max_iter budget, works on
-    the DST-I coefficients of the two blocks. Its done() test ends the run
-    at the first evaluation that meets the full sup|g|/dx <= grad_tol,
+    the DST-I coefficients of the two blocks. Its done(info) test ends the
+    run at the first evaluation that meets the full sup|g|/dx <= grad_tol,
     center node included, and that point is the result. The report carries
-    the final gradient norm, energy breakdown and stop reason. Raises
-    NoCrossingError / MultipleCrossingsError (from recentring) if p0 does
-    not cross pi/2 exactly once.
+    the gradient norm and energy breakdown the run reported at its result,
+    and the stop reason. Raises NoCrossingError / MultipleCrossingsError
+    (from recentring) if p0 does not cross pi/2 exactly once.
     """
     opts = opts or SolveOptions()
     op = op or make_operator(p0.grid)
@@ -273,23 +253,16 @@ def minimize(
         full[right] += step[1]
         return full
 
-    last = {}
-
     def fg(z: np.ndarray):
         theta = to_theta(z)
         eb, g = energy_and_gradient(p.with_theta(theta), op)
-        last.update(z=z, theta=theta, eb=eb, gnorm=grad_norm(g, dx))
         gz = dst(np.stack((g[left], g[right])))
         gz *= scale
-        return eb.total, gz.ravel()
+        return eb.total, gz.ravel(), (theta, eb, grad_norm(g, dx))
 
-    res = lbfgs(fg, np.zeros(2 * (c - 1)), opts.max_iter, lambda: last["gnorm"] <= opts.grad_tol)
-    evaluations = res.nfev
-    # a failed line search returns the last accepted point, not the last trial
-    if not np.array_equal(res.x, last["z"]):
-        fg(res.x)
-        evaluations += 1
-    converged = last["gnorm"] <= opts.grad_tol
+    res = lbfgs(fg, np.zeros(2 * (c - 1)), opts.max_iter, lambda info: info[2] <= opts.grad_tol)
+    theta, eb, gnorm = res.info
+    converged = gnorm <= opts.grad_tol
     if converged:
         stop = "grad_tol"
     elif res.nit >= opts.max_iter:
@@ -298,14 +271,14 @@ def minimize(
         stop = "stalled"
     report = SolveReport(
         iterations=res.nit,
-        final_energy=last["eb"],
-        final_grad_norm=last["gnorm"],
+        final_energy=eb,
+        final_grad_norm=gnorm,
         recenter_shifts=shifts,
         converged=converged,
-        evaluations=evaluations,
+        evaluations=res.nfev,
         stop=stop,
     )
-    return p.with_theta(last["theta"]), report
+    return p.with_theta(theta), report
 
 
 @dataclass(frozen=True)

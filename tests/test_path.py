@@ -22,6 +22,7 @@ from neelwall import (
     stationarity_defect,
     uniqueness_certificate,
 )
+import neelwall.path as pathmod
 from neelwall.model import trapezoid_weights
 from neelwall.path import path_velocity_norm
 
@@ -73,11 +74,38 @@ def test_requires_recentred_inputs(pair):
 def test_range_guard(pair):
     p1, p2 = pair
     c = p1.grid.center_index
-    # depress one sine sample so the t = 1.5 extrapolation overshoots 1
+    # t = 1.5 lies outside the path's domain; with one sine sample depressed
+    # the extrapolated sine would also overshoot 1 there
     theta = p2.theta.copy()
     theta[c + 1] = p2.params.theta_h
     with pytest.raises(RangeViolationError):
         interpolate_profiles(p1, p2.with_theta(theta), 1.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, -0.2, 1.5])
+def test_path_parameter_outside_the_unit_interval_is_rejected(t):
+    # interpolate_profiles returned 256 NaN nodes at t = nan and an
+    # extrapolated profile at -0.2 and 1.5; nan passed path_scan's checks
+    p1, p2 = _kink_pair(1.0, n=257)
+    with pytest.raises(RangeViolationError, match="outside the path's domain"):
+        interpolate_profiles(p1, p2, t)
+    with pytest.raises(RangeViolationError, match="outside the path's domain"):
+        path_scan(p1, p2, [0.0, t, 1.0])
+    with pytest.raises(RangeViolationError, match="outside the path's domain"):
+        path_velocity_norm(p1, p2, t)
+
+
+def test_certificate_checks_the_pair_once(monkeypatch, pair):
+    calls = []
+    require = pathmod._require_pair
+
+    def counted(p1, p2):
+        calls.append(None)
+        require(p1, p2)
+
+    monkeypatch.setattr(pathmod, "_require_pair", counted)
+    uniqueness_certificate(*pair)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bump,rejected", [(1e-8, True), (3e-8, False)])

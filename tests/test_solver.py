@@ -195,16 +195,66 @@ def test_lbfgs_converges_on_a_quadratic_and_counts_its_work(rng):
     def fg(x):
         calls.append(x)
         g = hess @ x - b
-        return 0.5 * x @ g - 0.5 * x @ b, g
+        return 0.5 * x @ g - 0.5 * x @ b, g, g
 
-    def done():
-        return np.max(np.abs(hess @ calls[-1] - b)) <= 1e-10
+    def done(g):
+        return np.max(np.abs(g)) <= 1e-10
 
     res = solver.lbfgs(fg, np.zeros(m), max_iter=500, done=done)
     assert np.max(np.abs(res.x - exact)) <= 1e-9
     assert 1 <= res.nit < 100 and res.nfev == len(calls) >= res.nit
-    capped = solver.lbfgs(fg, np.zeros(m), max_iter=3, done=lambda: False)
+    capped = solver.lbfgs(fg, np.zeros(m), max_iter=3, done=lambda g: False)
     assert capped.nit == 3 and np.max(np.abs(capped.x - exact)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "opts, stop", [(SolveOptions(grad_tol=1e-14), "stalled"), (SolveOptions(max_iter=3), "max_iter")]
+)
+def test_every_stop_reports_the_evaluations_it_made(monkeypatch, opts, stop):
+    # the run hands back the evaluation of the point it stopped on, so a
+    # solve that misses the tolerance evaluates nothing more either
+    calls = []
+    evaluate = solver.energy_and_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "energy_and_gradient", counted)
+    grid = make_grid(1025, 40.0)
+    p, report = minimize(make_initial_profile(grid, make_params(1.0, 0.25)), opts)
+    assert report.stop == stop and not report.converged
+    assert len(calls) == report.evaluations
+    gradient = energy_gradient(p, make_operator(grid))
+    assert report.final_grad_norm == np.max(np.abs(gradient)) / grid.spacing
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_line_search_halves_the_unit_step_until_the_energy_decreases(k):
+    # f = x^2/2 from x = 1 along d = -1.5 2^k: t = 2^-k lands at x = -0.5,
+    # each longer trial at x <= -2, above the start
+    def fg(x):
+        return 0.5 * float(x @ x), x.copy(), None
+
+    x, d = np.ones(1), np.full(1, -1.5 * 2.0**k)
+    step, evals = solver._line_search(fg, x, 0.5, d, float(x @ d), lambda info: False)
+    assert evals == k + 1
+    assert np.array_equal(step[0], x + 2.0**-k * d) and step[0][0] == -0.5
+
+
+def test_lbfgs_without_an_accepted_step_ends_on_its_start():
+    # the reported gradient points uphill, so every trial raises f
+    calls = []
+
+    def fg(x):
+        calls.append(x)
+        return 0.5 * float(x @ x), -x, len(calls)
+
+    x0 = np.ones(3)
+    res = solver.lbfgs(fg, x0, max_iter=10, done=lambda info: False)
+    assert res.nit == 0 and np.array_equal(res.x, x0)
+    assert res.info == 1
+    assert res.nfev == len(calls) == 1 + solver.LINE_SEARCH_EVALS
 
 
 def test_an_evaluation_that_meets_the_tolerance_ends_the_solve():
