@@ -22,7 +22,7 @@ from .analysis import (
     tail_decay_check,
     verify,
 )
-from .energy import el_residual, energy, energy_gradient
+from .energy import energy, energy_and_gradient, grad_norm
 from .errors import (
     FlatTopError,
     MultipleCrossingsError,
@@ -70,8 +70,6 @@ from .path import (
     PathPoint,
     interpolate_profiles,
     path_scan,
-    path_velocity_norm,
-    stationarity_defect,
     uniqueness_certificate,
 )
 from .solver import SolveOptions, SolveReport, minimize, sweep

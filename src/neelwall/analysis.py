@@ -324,15 +324,16 @@ def oracle(grid: Grid, seed: int = 0) -> dict:
     op = make_operator(grid)
     rng = np.random.default_rng(seed)
     corpus = _oracle_corpus(grid)
+    stray = {name: apply_spectral(op, u) for name, u in corpus}
     equivalence = {
-        name: _quadrature_gap(u, apply_spectral(op, u), grid, ORACLE_DELTA, rng, ORACLE_SAMPLES)
+        name: _quadrature_gap(u, stray[name], grid, ORACLE_DELTA, rng, ORACLE_SAMPLES)
         / float(np.max(np.abs(u)))
         for name, u in corpus
     }
     x = grid.nodes
     exact = (1.0 - x**2) / (1.0 + x**2) ** 2
     interior = np.abs(x) <= 0.5 * grid.half_width
-    closed = float(np.max(np.abs(apply_spectral(op, dict(corpus)["lorentzian"]) - exact)[interior]))
+    closed = float(np.max(np.abs(stray["lorentzian"] - exact)[interior]))
     seminorm = {}
     for name, u in corpus:
         qd = seminorm_double_integral(u, grid)

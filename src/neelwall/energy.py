@@ -1,5 +1,4 @@
-"""Discrete reduced 1D wall energy, its exact gradient, and the
-Euler-Lagrange residual.
+"""Discrete reduced 1D wall energy, its exact gradient and stationarity measure.
 
 The discrete energy is the quantity the solver minimizes:
 
@@ -14,10 +13,9 @@ Dirichlet-frozen): it computes u and cos theta once, takes the stray
 energy from pairing(u, u) and the stray field from apply_spectral(u), three
 FFTs in all, and applies the local and stray forces as one product
 cos theta (u + (nu/2) apply_spectral(u)). The exact gradient guarantees
-monotone descent and exact stationarity at discrete minimizers. el_residual
-is the same gradient divided by dx, which on smooth profiles samples the
-continuum Euler-Lagrange operator to O(dx^2); it is a stationarity metric,
-not an independent check of the gradient.
+monotone descent and exact stationarity at discrete minimizers. grad_norm,
+sup|g|/dx, is the one measure of stationarity: the solver stops on it, the
+uniqueness certificate reads it and verify gates it as el_residual.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from .model import EnergyBreakdown, WallProfile
 
 __all__ = [
     "energy",
-    "el_residual",
-    "energy_gradient",
     "energy_and_gradient",
     "energy_parts",
     "grad_norm",
@@ -70,7 +66,16 @@ def energy_and_gradient(
 
 def grad_norm(g: np.ndarray, dx: float) -> float:
     """sup|g|/dx of an energy_and_gradient gradient, center node included:
-    the stationarity measure a solve stops on at grad_tol."""
+    the stationarity measure a solve stops on at grad_tol.
+
+    On the interior nodes g/dx is the Euler-Lagrange residual
+
+    R = -theta_xx + (sin theta - h) cos theta
+        + (nu/2) cos theta (-d^2/dx^2)^(1/2) (sin theta - h)
+    with the second difference for theta_xx and the spectral half-Laplacian,
+    which on smooth profiles samples the continuum operator to O(dx^2); the
+    boundary entries of g are 0.
+    """
     return float(np.max(np.abs(g))) / dx
 
 
@@ -95,18 +100,3 @@ def energy(p: WallProfile, op: HalfLaplacianOperator) -> EnergyBreakdown:
     """Evaluate the three energy parts for a sampled profile."""
     return energy_and_gradient(p, op)[0]
 
-
-def energy_gradient(p: WallProfile, op: HalfLaplacianOperator) -> np.ndarray:
-    """Exact gradient of the discrete energy with respect to the interior
-    node values; zeros at the frozen boundary nodes."""
-    return energy_and_gradient(p, op)[1]
-
-
-def el_residual(p: WallProfile, op: HalfLaplacianOperator) -> np.ndarray:
-    """Euler-Lagrange residual on the interior nodes, energy_gradient / dx:
-
-    R = -theta_xx + (sin theta - h) cos theta
-        + (nu/2) cos theta (-d^2/dx^2)^(1/2) (sin theta - h)
-    with the second difference for theta_xx and the spectral half-Laplacian.
-    """
-    return energy_gradient(p, op)[1:-1] / p.grid.spacing

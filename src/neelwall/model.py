@@ -105,13 +105,16 @@ def make_grid(n: int, half_width: float) -> Grid:
         raise ValueError(f"grid needs at least 16 points (got {n})")
     if n % 2 == 0:
         raise ValueError(f"grid point count must be odd (got {n})")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"half_width must be positive and finite (got {half_width})")
-    nodes = np.linspace(-half_width, half_width, n)
-    # enforce exact symmetry about 0 against linspace roundoff
-    nodes = 0.5 * (nodes - nodes[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = np.linspace(-half_width, half_width, n)
+        # enforce exact symmetry about 0 against linspace roundoff
+        nodes = 0.5 * (nodes - nodes[::-1])
+        dx = float(nodes[1] - nodes[0])
+    # the model takes dx^2 and 1/dx^2; a NaN dx fails every comparison
+    if not (dx > 0.0 and 0.0 < dx * dx < math.inf and 1.0 / (dx * dx) < math.inf):
+        raise ValueError(f"half_width must give dx, dx^2 and 1/dx^2 positive and finite (got {half_width})")
     nodes[n // 2] = 0.0
-    return Grid(n=n, half_width=float(half_width), spacing=float(nodes[1] - nodes[0]), nodes=nodes)
+    return Grid(n=n, half_width=float(half_width), spacing=dx, nodes=nodes)
 
 
 def trapezoid_weights(n: int, dx: float) -> np.ndarray:

@@ -13,6 +13,8 @@ is convex on [0, 1]^2, the potential has modulus dx and the stray pairing
 is positive semidefinite. So B holds at most one critical point s*, and a
 profile with gradient g lies within r = ||g / cos theta||_2 / sqrt(dx) of
 it in L^2 (||v||_L2 = sqrt(dx) ||v||_2), the radius the certificate uses.
+A profile is a solution when sup|g|/dx <= grad_tol (energy.grad_norm), the
+test a solve stops on; the slope f' at its end of the path is no such test.
 
 A scan follows the path's definition: each t takes one arcsin, and cos
 theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
@@ -40,7 +42,6 @@ __all__ = [
     "CertificateVerdict",
     "interpolate_profiles",
     "path_scan",
-    "stationarity_defect",
     "uniqueness_certificate",
 ]
 
@@ -134,28 +135,6 @@ def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProf
     return p1.with_theta(_path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[0])
 
 
-def _nodal_t_derivatives(
-    grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """theta^t, the mixed sine s and the pointwise first and second
-    t-derivatives of theta^t; exact for the discrete path, zero at the
-    pinned center node.
-
-    From s = sin theta^t with s_t = d = sin1 - sin2: cos theta^t =
-    +-sqrt((1-s)(1+s)) with the sign of x, theta_t = d / cos theta^t and
-    theta_tt = theta_t^2 s / cos theta^t.
-    """
-    c = grid.center_index
-    theta, s = _path_theta(grid, sin1, sin2, t)
-    cs = np.sqrt((1.0 - s) * (1.0 + s))
-    np.negative(cs, out=cs, where=grid.nodes < 0.0)
-    cs[c] = 1.0
-    dt1 = (sin1 - sin2) / cs
-    dt2 = dt1 * dt1 * s / cs
-    dt1[c] = dt2[c] = 0.0
-    return theta, s, dt1, dt2
-
-
 def path_scan(
     p1: WallProfile,
     p2: WallProfile,
@@ -197,9 +176,19 @@ def path_scan(
         pairs = ((s1, s1), (s2, s2), (s2, sd), (sd, sd))
         q11, q22, q2d, qdd = (parseval(op, a, b) for a, b in pairs)
 
+    # pointwise t-derivatives of theta^t, zero at the pinned center: from s =
+    # sin theta^t, s_t = ds and cos theta^t = +-sqrt((1-s)(1+s)) with the sign
+    # of x, theta_t = ds / cos theta^t and theta_tt = theta_t^2 s / cos theta^t
+    ds, c = sin1 - sin2, grid.center_index
     rows = []
     for t in map(float, t_grid):
-        theta, s, dt1, dt2 = _nodal_t_derivatives(grid, sin1, sin2, t)
+        theta, s = _path_theta(grid, sin1, sin2, t)
+        cs = np.sqrt((1.0 - s) * (1.0 + s))
+        np.negative(cs, out=cs, where=grid.nodes < 0.0)
+        cs[c] = 1.0
+        dt1 = ds / cs
+        dt2 = dt1 * dt1 * s / cs
+        dt1[c] = dt2[c] = 0.0
         # energy: the inputs themselves at the ends, theta^t inside
         if t == 1.0:
             theta_f, q = p1.theta, q11
@@ -229,28 +218,6 @@ def path_scan(
         PathPoint(float(t), f, f_p, float(f_fd), f_pp)
         for t, (f, f_p, f_pp), f_fd in zip(t_grid, rows, fd)
     ]
-
-
-def path_velocity_norm(p1: WallProfile, p2: WallProfile, t: float) -> float:
-    """L2 norm of the pointwise path velocity theta^t_t."""
-    _require_pair(p1, p2)
-    _require_unit_interval(t)
-    dt1 = _nodal_t_derivatives(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[2]
-    w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
-    return math.sqrt(float(np.dot(w, dt1 * dt1)))
-
-
-def stationarity_defect(
-    p_candidate: WallProfile,
-    p_other: WallProfile,
-    op: HalfLaplacianOperator | None = None,
-) -> float:
-    """f' at the path endpoint sitting on p_candidate (t = 1).
-
-    Vanishes for a critical point of the energy; for a non-solution it is
-    bounded away from zero.
-    """
-    return path_scan(p_candidate, p_other, [1.0], op)[0].f_prime
 
 
 def _solution_measures(p: WallProfile, op: HalfLaplacianOperator) -> tuple[float, float]:

@@ -297,3 +297,10 @@ def test_verify_builds_one_lattice_and_solves_once(solved, monkeypatch):
     assert "decay_prediction" in report["checks"]
     assert len(lattices) == 1
     assert len(solves) == 1
+
+
+def test_oracle_takes_the_stray_field_of_each_corpus_function_once(monkeypatch):
+    # the Lorentzian's field serves the equivalence and the closed-form check
+    spectral = _count_calls(monkeypatch, "apply_spectral")
+    oracle(make_grid(257, 20.0))
+    assert len(spectral) == 3

@@ -90,6 +90,27 @@ def test_perturbed_default_solve_converges_without_restarts(tmp_path):
     assert report["stop"] == "grad_tol"
 
 
+@pytest.mark.parametrize("half_width", ["1e308", "1e200", "1e-300"])
+def test_solve_on_a_half_width_the_grid_cannot_space_exits_1(half_width, tmp_path, capsys):
+    code = run(["solve", "--n", "257", "--half-width", half_width, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: half_width") and "Traceback" not in err
+    assert not (tmp_path / "profile.txt").exists()
+
+
+def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path):
+    grid = ["--n", "257", "--half-width", "20"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["solve", *grid, "--out-dir", str(a)]) == 0
+    assert run(["solve", *grid, "--init", "perturbed", "--seed", "3", "--out-dir", str(b)]) == 0
+    assert run(["verify", str(a / "profile.txt"), "--out-dir", str(tmp_path / "v")]) == 0
+    assert run(["path", str(a / "profile.txt"), str(b / "profile.txt"), "--out-dir", str(tmp_path / "ab")]) == 0
+    report = json.loads((a / "report.json").read_text())
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    cert = json.loads((tmp_path / "ab" / "certificate.json").read_text())
+    assert report["final_grad_norm"] == checks["el_residual"]["max"] == cert["max_grad_1"]
+
+
 def test_verify_pass(solved_dir, tmp_path):
     code = run(["verify", str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)])
     assert code == 0

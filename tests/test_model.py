@@ -44,8 +44,10 @@ def test_grid_construction():
         make_grid(7, 20.0)
     with pytest.raises(ValueError):
         make_grid(101, -1.0)
-    for half_width in (math.inf, math.nan):
-        with pytest.raises(ValueError):
+    # 1e308 spaces the nodes by NaN, 1e200 by a dx whose square overflows
+    # and 1e-300 by one whose square vanishes
+    for half_width in (math.inf, math.nan, 1e308, 1e200, 1e-300):
+        with pytest.raises(ValueError, match="half_width"):
             make_grid(101, half_width)
 
 

@@ -19,12 +19,10 @@ from neelwall import (
     path_scan,
     recenter,
     reflect_compose,
-    stationarity_defect,
     uniqueness_certificate,
 )
 import neelwall.path as pathmod
 from neelwall.model import trapezoid_weights
-from neelwall.path import path_velocity_norm
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +89,6 @@ def test_path_parameter_outside_the_unit_interval_is_rejected(t):
         interpolate_profiles(p1, p2, t)
     with pytest.raises(RangeViolationError, match="outside the path's domain"):
         path_scan(p1, p2, [0.0, t, 1.0])
-    with pytest.raises(RangeViolationError, match="outside the path's domain"):
-        path_velocity_norm(p1, p2, t)
 
 
 def test_certificate_checks_the_pair_once(monkeypatch, pair):
@@ -181,23 +177,6 @@ def test_scan_degenerate_pair(pair, operators):
         assert pt.f == pytest.approx(pts[0].f, rel=1e-14)
         assert abs(pt.f_prime) <= 1e-12
         assert abs(pt.f_second_analytic) <= 1e-12
-
-
-def test_stationarity_zero_for_identical(pair):
-    p1, _ = pair
-    assert stationarity_defect(p1, p1) == 0.0
-
-
-def test_stationarity_separates_solution_from_kink(solved, operators):
-    p, report = solved(1.0, 0.3)
-    grid, op = operators()
-    params = make_params(1.0, 0.3)
-    kink = recenter(make_initial_profile(grid, params, kind="kink", width=2.0))
-    d_solution = abs(stationarity_defect(p, kink, op=op))
-    d_kink = abs(stationarity_defect(kink, p, op=op))
-    vel = path_velocity_norm(p, kink, 1.0)
-    assert d_solution <= 10.0 * 1e-6 * vel
-    assert d_kink > 1e-3
 
 
 def test_certificate_identical_inputs(pair, operators):
