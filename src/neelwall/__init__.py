@@ -6,8 +6,8 @@ and a nonlocal stray-field term built on the half-Laplacian. The package
 minimizes it on a uniform grid, checks the structural properties of the
 minimizer (monotonicity, symmetry, quadratic tail decay, a-priori
 derivative bounds), certifies uniqueness through convexity along an
-arcsin interpolation path, and explains the tail via the linearized
-Green function.
+arcsin interpolation path, and checks the tail constant against the
+far-field law of the linearized equation.
 """
 
 from .analysis import (
@@ -33,16 +33,7 @@ from .errors import (
     TailTooLargeError,
     WindowTooNoisyError,
 )
-from .greenfn import (
-    FoldedProfile,
-    LinearizedOperator,
-    decay_prediction,
-    fold,
-    fundamental_solution,
-    make_linearized,
-    reconstruct,
-    reconstructed_deviation,
-)
+from .greenfn import far_field_constant
 from .halflap import (
     HalfLaplacianOperator,
     apply_quadrature,

@@ -2,15 +2,13 @@
 
 The discrete model is the zero-padded FFT lattice with multiplier |k|: one
 lattice per grid, HalfLaplacianOperator, which alone chooses the padded
-length P and holds |k|. Between grid nodes a lattice multiplier sigma
-applies the symmetric Toeplitz matrix with column irfft(sigma, P)[:n]
-(lattice_column); make_operator builds the column K_P of |k| once, and
-greenfn builds those of the linearized symbol and its inverse. Every such
-column is applied through its symmetric circulant embedding at the fast
-length M >= 2n - 2, about P/2 and a power of two on grids of n = 2^k + 1
-nodes (Chan & Ng, SIAM Review 38, 1996): spectrum rffts at M,
-apply_spectral multiplies by the embedding's real spectrum of K_P and
-irffts, and the stray-field form pairing(u, w) is the Parseval sum
+length P and holds |k|. Between grid nodes |k| applies the symmetric
+Toeplitz matrix with column K_P = irfft(|k|, P)[:n], which make_operator
+builds once. The column is applied through its symmetric circulant
+embedding at the fast length M >= 2n - 2, about P/2 and a power of two on
+grids of n = 2^k + 1 nodes (Chan & Ng, SIAM Review 38, 1996): spectrum
+rffts at M, apply_spectral multiplies by the embedding's real spectrum of
+K_P and irffts, and the stray-field form pairing(u, w) is the Parseval sum
 (parseval) of two such spectra, weighted once per operator; callers that
 combine spectra linearly, like the path scan, use the same summation.
 The cross-check is a principal-value singular integral split at a scale
@@ -23,8 +21,8 @@ lattice or |k|.
 
 The module is also the package's one caller of numpy's FFT for the other
 transforms it needs: the orthonormal DST-I of the solver's preconditioner
-(dst), the symmetric Toeplitz product of the oracle and of the Green
-function (toeplitz_product) and the choice of fast transform lengths
+(dst), the symmetric Toeplitz product of the seminorm oracle
+(toeplitz_product) and the choice of fast transform lengths
 (next_fast_len).
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
@@ -43,7 +41,6 @@ from .model import Grid, trapezoid_weights
 __all__ = [
     "HalfLaplacianOperator",
     "make_operator",
-    "lattice_column",
     "apply_spectral",
     "apply_quadrature",
     "spectrum",
@@ -67,10 +64,11 @@ class HalfLaplacianOperator:
     """The zero-padded FFT lattice of one grid and its Toeplitz kernel.
 
     The lattice has padded_len points and wavenumbers holds |k| on its
-    real-FFT half. column is lattice_column of |k|, and kernel the real
-    spectrum of its circulant embedding of length embed_len. weights
-    is kernel dx/embed_len with the interior real-FFT bins doubled (each
-    stands for itself and its conjugate), the Parseval weights of parseval.
+    real-FFT half. column is K_P, the first n entries of the lattice's
+    inverse transform of |k|, and kernel the real spectrum of its circulant
+    embedding of length embed_len. weights is kernel dx/embed_len with the
+    interior real-FFT bins doubled (each stands for itself and its
+    conjugate), the Parseval weights of parseval.
     """
 
     grid: Grid
@@ -134,20 +132,15 @@ def toeplitz_product(column: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * np.fft.rfft(x, size), size)[..., : len(column)]
 
 
-def lattice_column(multiplier: np.ndarray, padded_len: int, n: int) -> np.ndarray:
-    """The column of a lattice multiplier (an even symbol on the real-FFT
-    half) between n grid nodes: restricted to them, its padded_len-periodic
-    circulant is the Toeplitz matrix T_ij = column[|i - j|]."""
-    return np.fft.irfft(multiplier, padded_len)[:n]
-
-
 def make_operator(grid: Grid) -> HalfLaplacianOperator:
     """Build the padded lattice for a grid, with transform length the
     smallest fast real-FFT size >= 4n, and the circulant embedding of its
     kernel between grid nodes."""
     padded_len = next_fast_len(PAD_FACTOR * grid.n)
     k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
-    column = lattice_column(k, padded_len, grid.n)
+    # restricted to the grid nodes, the padded_len-periodic circulant of |k|
+    # is the Toeplitz matrix T_ij = column[|i - j|]
+    column = np.fft.irfft(k, padded_len)[: grid.n]
     embed_len, kernel = _circulant_spectrum(column)
     weights = kernel * (grid.spacing / embed_len)
     weights[1 : (embed_len + 1) // 2] *= 2.0

@@ -3,45 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from neelwall import (
-    decay_prediction,
-    fit_decay,
-    fold,
-    fundamental_solution,
-    make_grid,
-    make_linearized,
-    make_operator,
-    make_params,
-    reconstruct,
-)
-from neelwall.greenfn import FoldedProfile, apply_linearized, convolve_green, reconstructed_deviation
+from neelwall import far_field_constant, fit_decay, make_grid, make_initial_profile, make_operator, make_params
+from neelwall.greenfn import linearized_symbol
 from neelwall.model import trapezoid_weights
 
 
-@pytest.fixture(scope="module")
-def setup():
+def _green(params, grid):
+    """The fundamental solution G of the linearized operator at the grid
+    nodes: the padded lattice's inverse transform of 1/symbol over dx,
+    gathered at |x_i|."""
+    op = make_operator(grid)
+    k = op.wavenumbers
+    column = np.fft.irfft(1.0 / linearized_symbol(params, k, k**2), op.padded_len)[: grid.n] / grid.spacing
+    return column[np.abs(np.arange(grid.n) - grid.center_index)]
+
+
+def test_symbol_bounded_below():
     params = make_params(1.0, 0.3)
-    grid = make_grid(2049, 40.0)
-    return params, grid, make_linearized(params, grid)
-
-
-def test_requires_positive_nu():
-    grid = make_grid(257, 40.0)
-    with pytest.raises(ValueError):
-        make_linearized(make_params(0.0, 0.0), grid)
-
-
-def test_symbol_bounded_below(setup):
-    params, _, lin = setup
-    c2 = math.cos(params.theta_h) ** 2
-    assert np.all(lin.symbol >= c2)
+    k = make_operator(make_grid(2049, 40.0)).wavenumbers
+    assert np.all(linearized_symbol(params, k, k**2) >= math.cos(params.theta_h) ** 2)
 
 
 @pytest.mark.parametrize("nu,h", [(0.5, 0.0), (1.0, 0.5), (2.0, 0.0), (4.0, 0.5)])
 def test_green_positive_even_bounded(nu, h):
     grid = make_grid(1025, 40.0)
-    lin = make_linearized(make_params(nu, h), grid)
-    g = fundamental_solution(lin)
+    g = _green(make_params(nu, h), grid)
     assert np.all(g > 0.0)
     assert np.max(np.abs(g - g[::-1])) <= 1e-13 * np.max(g)
     x = grid.nodes
@@ -49,129 +35,35 @@ def test_green_positive_even_bounded(nu, h):
     assert np.max(x[tail] ** 2 * g[tail]) < 10.0
 
 
-def _direct_green(lin):
-    """Lattice values irfft(1 / symbol) / dx at the node offsets -(n-1)..n-1."""
-    n, padded_len = lin.grid.n, lin.lattice.padded_len
-    g_pad = np.fft.irfft(1.0 / lin.symbol, n=padded_len) / lin.grid.spacing
-    return g_pad[np.arange(-(n - 1), n) % padded_len]
-
-
-@pytest.mark.parametrize("nu,h", [(1.0, 0.3), (4.0, 0.75), (0.5, 0.0)])
-def test_solve_matches_direct_convolution(nu, h):
-    # reference: the lattice G gathered at the node offsets and convolved
-    # directly with the trapezoid-weighted forcing
-    grid = make_grid(1025, 40.0)
-    lin = make_linearized(make_params(nu, h), grid)
-    n, c, x = grid.n, grid.center_index, grid.nodes
-    g_full = _direct_green(lin)
-    g = fundamental_solution(lin)
-    assert np.max(np.abs(g - g_full[c : c + n])) <= 1e-13 * np.max(g)
-    for f in (np.exp(-0.25 * x**2), (1.0 + x) / (1.0 + x**2)):
-        direct = np.convolve(g_full, f * trapezoid_weights(n, grid.spacing))[n - 1 : 2 * n - 1]
-        gf = convolve_green(f, lin)
-        assert np.max(np.abs(gf - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-def test_green_function_transforms_only_at_the_embedding_length(monkeypatch):
-    # the Green column is built once, by one irfft on the padded lattice;
-    # G is then gathered from it or applied through the circulant embedding
-    grid = make_grid(1025, 40.0)
+def test_green_mass_is_symbol_at_zero():
     params = make_params(1.0, 0.3)
-    op = make_operator(grid)
-    calls = []
-    for name in ("rfft", "irfft"):
-
-        def traced(a, n=None, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
-            out = _fft(a, n, *args, **kwargs)
-            calls.append((_name, out.shape[-1] if _name == "irfft" else n or a.shape[-1]))
-            return out
-
-        monkeypatch.setattr(np.fft, name, traced)
-    lin = make_linearized(params, grid, op)
-    assert calls == [("irfft", op.padded_len)]
-    calls.clear()
-    fundamental_solution(lin)
-    assert calls == []
-    f = np.exp(-0.25 * grid.nodes**2)
-    convolve_green(f, lin)
-    reconstructed_deviation(FoldedProfile(grid=grid, params=params, rho=f, a=0.3, forcing=f), lin)
-    assert calls and {length for _, length in calls} == {op.embed_len}
-    assert op.embed_len < op.padded_len
-
-
-def test_green_mass_is_symbol_at_zero(setup):
-    params, grid, lin = setup
-    g = fundamental_solution(lin)
-    mass = trapezoid_weights(grid.n, grid.spacing) @ g
+    grid = make_grid(2049, 40.0)
+    mass = trapezoid_weights(grid.n, grid.spacing) @ _green(params, grid)
     assert mass == pytest.approx(1.0 / math.cos(params.theta_h) ** 2, rel=0.01)
 
 
-def test_invertibility_round_trip(setup):
-    _, grid, lin = setup
-    w = np.exp(-0.5 * grid.nodes**2)
-    back = convolve_green(apply_linearized(w, lin), lin)
-    assert np.max(np.abs(back - w)) <= 1e-3 * np.max(np.abs(w))
+@pytest.mark.parametrize("nu,h", [(1.0, 0.25), (4.0, 0.0), (10.0, 0.5)])
+def test_green_tail_is_the_closed_form(nu, h):
+    # the |k| term of 1/symbol at k = 0 gives x^2 G -> nu / (2 pi cos^2 theta_h);
+    # read 0.1723, 0.6437 and 2.108 against 0.1698, 0.6366 and 2.122
+    params = make_params(nu, h)
+    grid = make_grid(16385, 160.0)
+    x = grid.nodes
+    window = (x >= 60.0) & (x <= 100.0)
+    tail = float(np.median(x[window] ** 2 * _green(params, grid)[window]))
+    assert tail == pytest.approx(nu / (2.0 * math.pi * math.cos(params.theta_h) ** 2), rel=0.02)
 
 
-def test_fold_properties(solved, operators):
-    p, _ = solved(1.0, 0.0, n=1025)
-    _, op = operators(1025)
-    fp = fold(p, op)
-    assert fp.a > 0.0
-    even_defect = np.max(np.abs(fp.rho - fp.rho[::-1]))
-    assert even_defect <= 1e-4
+@pytest.mark.parametrize("nu", [0.0, 1.0, 4.0])
+def test_far_field_constant_of_the_local_kink(nu):
+    # at h = 0, sin(2 arctan e^-x) = sech x integrates to pi: c_inf = nu / 2
+    grid = make_grid(2049, 40.0)
+    p = make_initial_profile(grid, make_params(nu, 0.0), kind="kink")
+    assert far_field_constant(p) == pytest.approx(nu / 2.0, rel=1e-12, abs=1e-15)
 
 
-def test_fold_requires_nonlocal_term(solved):
-    p, _ = solved(0.0, 0.0, n=1025)
-    with pytest.raises(ValueError):
-        fold(p)
-
-
-def test_reconstruct_constructed_pair(setup):
-    _, grid, lin = setup
-    params = make_params(1.0, 0.3)
-    f = np.exp(-0.25 * grid.nodes**2)
-    rho = params.theta_h + 0.3 * fundamental_solution(lin) + convolve_green(f, lin)
-    fp = FoldedProfile(grid=grid, params=params, rho=rho, a=0.3, forcing=f)
-    assert reconstruct(fp, lin) <= 1e-12
-
-
-def test_reconstruct_zero_data(setup):
-    _, grid, lin = setup
-    params = make_params(1.0, 0.3)
-    fp = FoldedProfile(
-        grid=grid,
-        params=params,
-        rho=np.full(grid.n, params.theta_h),
-        a=0.0,
-        forcing=np.zeros(grid.n),
-    )
-    assert reconstruct(fp, lin) == 0.0
-
-
-def test_reconstruct_minimizer(solved, operators):
-    p, _ = solved(1.0, 0.3, n=2049)
-    _, op = operators(2049)
-    fp = fold(p, op)
-    lin = make_linearized(p.params, p.grid)
-    assert reconstruct(fp, lin) <= 5e-2
-
-
-def test_decay_prediction_linearity(setup):
-    _, grid, lin = setup
-    params = make_params(1.0, 0.3)
-    f = np.zeros(grid.n)
-    one = FoldedProfile(grid=grid, params=params, rho=f, a=1.0, forcing=f)
-    two = FoldedProfile(grid=grid, params=params, rho=f, a=2.0, forcing=f)
-    assert decay_prediction(two, lin) == pytest.approx(2.0 * decay_prediction(one, lin), rel=1e-12)
-
-
-def test_decay_prediction_matches_fit(solved, operators):
-    p, _ = solved(1.0, 0.0, n=4097, half_width=80.0)
-    _, op = operators(4097, 80.0)
-    fp = fold(p, op)
-    lin = make_linearized(p.params, p.grid)
-    pred = decay_prediction(fp, lin)
+@pytest.mark.parametrize("nu,h", [(1.0, 0.0), (4.0, 0.5)])
+def test_far_field_constant_matches_the_fitted_tail(nu, h, solved):
+    p, _ = solved(nu, h, n=4097, half_width=80.0)
     fit = fit_decay(p)
-    assert abs(pred - fit.c_plus) / fit.c_plus <= 0.2
+    assert abs(fit.c_plus - far_field_constant(p)) <= 0.05 * far_field_constant(p)

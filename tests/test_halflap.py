@@ -200,7 +200,7 @@ def test_pairing_is_the_dense_toeplitz_form_at_odd_and_even_lengths(n, embed_len
 
 
 def test_only_halflap_calls_the_fft(solved, monkeypatch):
-    # every transform, the Green function's included, is made in halflap
+    # every transform, verify's and the path scan's included, is made in halflap
     callers = set()
     for name in ("rfft", "irfft"):
 
@@ -212,7 +212,7 @@ def test_only_halflap_calls_the_fft(solved, monkeypatch):
     params = make_params(1.0, 0.25)
     p, report = minimize(make_initial_profile(make_grid(513, 40.0), params))
     assert report.converged
-    assert "reconstruction" in verify(p)["checks"]
+    assert "far_field" in verify(p)["checks"]
     path_scan(p, solved(1.0, 0.25, kind="perturbed")[0])
     assert callers == {"neelwall.halflap"}
 
