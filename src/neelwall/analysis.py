@@ -6,10 +6,12 @@ reflection symmetry theta(x) + theta(-x) = pi, algebraic x^-2 tail decay,
 and closed-form a-priori bounds on theta_x, the stray field v, and
 theta_xx in terms of the total energy. verify runs them all on one profile
 with the stationarity and stray-field checks and the far-field law of the
-tail constant (greenfn); oracle checks the spectral operator and pairing
-against the quadrature, a closed form and the seminorm double integral.
-Both share one quadrature cross-check, and this module owns every
-tolerance they gate on.
+tail constant (greenfn), all from one energy_and_gradient call: its
+energy, gradient and stray field serve every check, and check_bounds takes
+the energy and the field and makes no transform. oracle checks the
+spectral operator and pairing against the quadrature, a closed form and
+the seminorm double integral. Both share one quadrature cross-check, and
+this module owns every tolerance they gate on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy, energy_and_gradient, grad_norm
+from .energy import energy_and_gradient, grad_norm
 from .errors import TailTooLargeError, WindowTooNoisyError
 from .greenfn import far_field_constant
 from .halflap import (
@@ -31,7 +33,7 @@ from .halflap import (
     pairing,
     seminorm_double_integral,
 )
-from .model import Grid, WallProfile, tail_window
+from .model import Grid, WallProfile
 
 __all__ = [
     "DecayFit",
@@ -71,7 +73,6 @@ class DecayFit:
 
     c_plus: float
     c_minus: float
-    window: tuple[float, float]
     plateau_spread: float
 
 
@@ -80,7 +81,7 @@ class BoundsReport:
     sup_theta_x: float
     bound_theta_x: float
     sup_v: float
-    bound_v: float
+    bound_v: float | None
     sup_theta_xx: float
     bound_theta_xx: float
 
@@ -88,7 +89,7 @@ class BoundsReport:
     def all_satisfied(self) -> bool:
         return (
             self.sup_theta_x <= self.bound_theta_x
-            and self.sup_v <= self.bound_v
+            and (self.bound_v is None or self.sup_v <= self.bound_v)
             and self.sup_theta_xx <= self.bound_theta_xx
         )
 
@@ -126,10 +127,9 @@ def fit_decay(p: WallProfile) -> DecayFit:
     WindowTooNoisyError when the spread exceeds 0.5, which is the
     expected outcome for exponentially decaying (local) profiles.
     """
-    grid = p.grid
-    x = grid.nodes
+    x = p.grid.nodes
     theta_h = p.params.theta_h
-    window, mask = tail_window(grid)
+    mask = (x >= 0.5 * p.grid.half_width) & (x <= 0.9 * p.grid.half_width)
     g_right = x[mask] ** 2 * (p.theta[mask] - theta_h)
     g_left = x[mask] ** 2 * (math.pi - theta_h - p.theta[::-1][mask])
 
@@ -148,7 +148,7 @@ def fit_decay(p: WallProfile) -> DecayFit:
             f"tail plateau spread {spread:.3g} exceeds {PLATEAU_SPREAD_LIMIT}; "
             "increase the half-width or resolution"
         )
-    return DecayFit(c_plus=c_plus, c_minus=c_minus, window=window, plateau_spread=spread)
+    return DecayFit(c_plus=c_plus, c_minus=c_minus, plateau_spread=spread)
 
 
 def _central_derivative(theta: np.ndarray, dx: float, order: int) -> tuple[np.ndarray, int]:
@@ -195,32 +195,26 @@ def tail_decay_check(p: WallProfile) -> bool:
     return True
 
 
-def check_bounds(p: WallProfile, op: HalfLaplacianOperator | None = None) -> BoundsReport:
-    """Evaluate the three closed-form a-priori bounds with E = computed
-    total energy:
+def check_bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> BoundsReport:
+    """Evaluate the three closed-form a-priori bounds from the total energy
+    E = e_total and the stray field v, the half-Laplacian of
+    u = sin theta - h (both as energy_and_gradient returns them; v is None
+    at nu = 0):
 
       sup|theta_x|  <= sqrt((1+|h|)^2 + 2 nu E)
       max|v|        <= 4 nu / pi^2 + (2/nu)(1+|h|+(1+|h|)^2) + 4 E
       max|theta_xx| <= 1 + |h| + (nu/2) max|v|
 
-    where v is the half-Laplacian of u = sin theta - h. Violations are
-    reported via the satisfied flags, never raised.
+    At nu = 0 there is no stray field: sup_v is 0 and bound_v None.
+    Violations are reported via all_satisfied, never raised.
     """
-    op = op or make_operator(p.grid)
-    v = apply_spectral(op, np.sin(p.theta) - p.params.h) if p.params.nu > 0 else None
-    return _bounds(p, energy(p, op).total, v)
-
-
-def _bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> BoundsReport:
-    """check_bounds from the total energy and the stray field v (None at nu = 0)."""
     nu = p.params.nu
     ah = abs(p.params.h)
     if v is not None:
         sup_v = float(np.max(np.abs(v)))
         bound_v = 4.0 * nu / math.pi**2 + (2.0 / nu) * (1.0 + ah + (1.0 + ah) ** 2) + 4.0 * e_total
     else:
-        sup_v = 0.0
-        bound_v = math.inf
+        sup_v, bound_v = 0.0, None
     return BoundsReport(
         sup_theta_x=derivative_sup(p, 1),
         bound_theta_x=math.sqrt((1.0 + ah) ** 2 + 2.0 * nu * e_total),
@@ -255,30 +249,29 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     pi - theta_h and theta_h), el_residual, monotone, symmetry, decay_fit,
     bounds and tail_decay, and at nu > 0 also stray_crosscheck and, when the
     tail fit succeeds, far_field: the fitted c_plus against the far-field
-    law's constant from the integral of u. The energy and its gradient are
-    evaluated once, and so is the stray field v, which serves the bounds and
-    the quadrature cross-check at seeded random nodes. When u does not decay
-    at the grid ends, each check that needs the field fails with why.
+    law's constant from the integral of u. One energy_and_gradient call gives
+    the energy, the gradient and the stray field v, which serves the bounds
+    and the quadrature cross-check at seeded random nodes, split at
+    delta = min(default_delta(nu), L/2) so that the window fits the grid.
+    When u does not decay at the grid ends, each check that needs the field
+    fails with why.
     """
     op = op or make_operator(p.grid)
     nu = p.params.nu
-    u = np.sin(p.theta) - p.params.h
     no_field = None
     try:
-        eb, grad = energy_and_gradient(p, op)
-        v = apply_spectral(op, u) if nu > 0 else None
+        eb, grad, v = energy_and_gradient(p, op)
     except TailTooLargeError as exc:
         no_field = {"error": str(exc), "passed": False}
     fit, decay_fit = None, {"skipped": "exponential decay at nu=0", "passed": True}
     if nu > 0:
         try:
             fit = fit_decay(p)
-            decay_fit = {"c_plus": fit.c_plus, "c_minus": fit.c_minus, "plateau_spread": fit.plateau_spread,
-                         "passed": True}
+            decay_fit = dict(vars(fit), passed=True)
         except WindowTooNoisyError as exc:
             decay_fit = {"error": str(exc), "passed": False}
     mono_ok, mono_violation = check_monotone(p)
-    bounds = None if no_field else _bounds(p, eb.total, v)
+    bounds = None if no_field else check_bounds(p, eb.total, v)
     th = p.params.theta_h
     boundary = np.max(np.abs([p.theta[0] - (math.pi - th), p.theta[-1] - th]))  # NaN-propagating
     checks = {
@@ -294,7 +287,9 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
         field_checks = ("stray_crosscheck",) + ("far_field",) * (fit is not None)
         checks.update(dict.fromkeys(field_checks, no_field))
     elif nu > 0:
-        gap = _quadrature_gap(u, v, p.grid, default_delta(nu), seed, CROSSCHECK_SAMPLES)
+        u = np.sin(p.theta) - p.params.h
+        delta = min(default_delta(nu), 0.5 * p.grid.half_width)
+        gap = _quadrature_gap(u, v, p.grid, delta, seed, CROSSCHECK_SAMPLES)
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
         if fit is not None:
             pred = far_field_constant(p)

@@ -10,9 +10,10 @@ with trapezoid weights w and the Parseval stray form from halflap. One
 kernel, energy_and_gradient, evaluates it together with its exact derivative
 with respect to the interior node values (boundary nodes are
 Dirichlet-frozen): it computes u and cos theta once, takes the stray
-energy from pairing(u, u) and the stray field from apply_spectral(u), three
-FFTs in all, and applies the local and stray forces as one product
-cos theta (u + (nu/2) apply_spectral(u)). The exact gradient guarantees
+energy from pairing(u, u) and the stray field v = apply_spectral(u), three
+FFTs in all, applies the local and stray forces as one product
+cos theta (u + (nu/2) v), and returns v with the energy and gradient, so
+verify reads all three from one call. The exact gradient guarantees
 monotone descent and exact stationarity at discrete minimizers. grad_norm,
 sup|g|/dx, is the one measure of stationarity: the solver stops on it, the
 uniqueness certificate reads it and verify gates it as el_residual.
@@ -35,10 +36,11 @@ __all__ = [
 
 def energy_and_gradient(
     p: WallProfile, op: HalfLaplacianOperator
-) -> tuple[EnergyBreakdown, np.ndarray]:
-    """The three energy parts and the exact gradient with respect to the
+) -> tuple[EnergyBreakdown, np.ndarray, np.ndarray | None]:
+    """The three energy parts, the exact gradient with respect to the
     interior node values, returned full length with zeros at the frozen
-    boundary nodes."""
+    boundary nodes, and the stray field v = apply_spectral(u) the gradient
+    is built from (None at nu = 0, where no transform is made)."""
     theta = p.theta
     dx = p.grid.spacing
     h, nu = p.params.h, p.params.nu
@@ -52,16 +54,16 @@ def energy_and_gradient(
     inner /= dx
     # local and stray forces in one product: cos theta (u + nu/2 T v)
     force = u
-    stray = 0.0
+    stray, field = 0.0, None
     if nu > 0:
         stray = 0.25 * nu * pairing(op, u, u)
-        force = apply_spectral(op, u)
-        force *= 0.5 * nu
+        field = apply_spectral(op, u)
+        force = field * (0.5 * nu)
         force += u
     force = np.cos(theta[1:-1]) * force[1:-1]
     force *= dx
     inner += force
-    return energy_parts(theta, u, dx, stray), g
+    return energy_parts(theta, u, dx, stray), g, field
 
 
 def grad_norm(g: np.ndarray, dx: float) -> float:

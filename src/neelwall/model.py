@@ -30,7 +30,6 @@ __all__ = [
     "make_params",
     "make_grid",
     "trapezoid_weights",
-    "tail_window",
     "make_initial_profile",
     "recenter",
     "reflect_compose",
@@ -122,13 +121,6 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
     w = np.full(n, dx)
     w[0] = w[-1] = 0.5 * dx
     return w
-
-
-def tail_window(grid: Grid) -> tuple[tuple[float, float], np.ndarray]:
-    """The window [0.5 L, 0.9 L] where the x^2 tail plateau is read, and
-    the mask of the grid nodes inside it."""
-    lo, hi = 0.5 * grid.half_width, 0.9 * grid.half_width
-    return (lo, hi), (grid.nodes >= lo) & (grid.nodes <= hi)
 
 
 def _template(x: np.ndarray, params: ModelParams) -> np.ndarray:

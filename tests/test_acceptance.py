@@ -179,17 +179,18 @@ def test_criterion_7_bounds_suite(solved, operators):
             ok = False
             continue
         e = energy(p, op).total
+        v = apply_spectral(op, np.sin(p.theta) - h) if nu > 0 else None
         hub = 1.0 + abs(h)
         sup_tx = derivative_sup(p, 1)
         ok &= sup_tx <= math.sqrt(hub**2 + 2.0 * nu * e)
         sup_txx = derivative_sup(p, 2)
         if nu > 0:
-            sup_v = float(np.max(np.abs(apply_spectral(op, np.sin(p.theta) - h))))
+            sup_v = float(np.max(np.abs(v)))
             ok &= sup_v <= 4.0 * nu / math.pi**2 + (2.0 / nu) * (hub + hub**2) + 4.0 * e
             ok &= sup_txx <= hub + 0.5 * nu * sup_v
         else:
             ok &= sup_txx <= hub
-        ok &= check_bounds(p, op).all_satisfied
+        ok &= check_bounds(p, e, v).all_satisfied
         ok &= tail_decay_check(p)
     record_criterion("criterion 7: derivative and tail bounds (16 combos)", ok)
     assert ok

@@ -8,8 +8,11 @@ from neelwall import (
     SolveOptions,
     WallProfile,
     WindowTooNoisyError,
+    apply_spectral,
     check_bounds,
     check_monotone,
+    energy,
+    energy_and_gradient,
     fit_decay,
     make_grid,
     make_initial_profile,
@@ -112,11 +115,16 @@ def test_fit_decay_refinement_cauchy(solved):
     assert abs(fit_a.c_plus - fit_b.c_plus) / fit_b.c_plus <= 0.05
 
 
+def _bounds_of(p):
+    eb, _, v = energy_and_gradient(p, make_operator(p.grid))
+    return check_bounds(p, eb.total, v)
+
+
 def test_bounds_on_vacuum():
     params = make_params(1.0, 0.3)
     grid = make_grid(513, 40.0)
     p = _kink(grid, params).with_theta(np.full(grid.n, params.theta_h))
-    rep = check_bounds(p)
+    rep = _bounds_of(p)
     assert rep.sup_theta_x == 0.0
     assert rep.all_satisfied
 
@@ -126,11 +134,28 @@ def test_bounds_kink_equality_case():
     params = make_params(0.0, 0.0)
     grid = make_grid(2049, 40.0)
     p = _kink(grid, params)
-    rep = check_bounds(p)
+    rep = _bounds_of(p)
+    assert rep.bound_v is None and rep.sup_v == 0.0
     assert rep.bound_theta_x == pytest.approx(1.0)
     assert rep.sup_theta_x <= 1.0
     assert rep.sup_theta_x == pytest.approx(1.0, abs=1e-3)
     assert rep.all_satisfied
+
+
+def test_bounds_are_the_papers_formulas(solved, operators):
+    # every minimizer meets the bounds with slack, so only the values pin
+    # their coefficients; E and v are taken here apart from verify's kernel
+    nu, h = 2.0, 0.3
+    p, _ = solved(nu, h)
+    _, op = operators()
+    e = energy(p, op).total
+    sup_v = float(np.max(np.abs(apply_spectral(op, np.sin(p.theta) - h))))
+    bounds = verify(p, op)["checks"]["bounds"]
+    assert bounds["sup_v"] == pytest.approx(sup_v, rel=1e-12)
+    assert bounds["bound_theta_x"] == pytest.approx(math.sqrt((1 + h) ** 2 + 2 * nu * e), rel=1e-12)
+    expected_v = 4 * nu / math.pi**2 + (2 / nu) * (1 + h + (1 + h) ** 2) + 4 * e
+    assert bounds["bound_v"] == pytest.approx(expected_v, rel=1e-12)
+    assert bounds["bound_theta_xx"] == pytest.approx(1 + h + 0.5 * nu * sup_v, rel=1e-12)
 
 
 def test_derivative_sups_of_kink():
@@ -162,6 +187,15 @@ def test_stray_crosscheck_small(solved, operators):
     check = verify(p, op)["checks"]["stray_crosscheck"]
     assert check["max_discrepancy"] <= 1e-3
     assert check["tol"] == 1e-3 and check["passed"]
+
+
+@pytest.mark.parametrize("n, half_width", [(257, 20.0), (1025, 40.0)])
+def test_stray_crosscheck_fits_the_grid_at_small_nu(n, half_width, solved):
+    # pi / nu = 63 does not fit in the grid: the quadrature splits at L/2
+    p, report = solved(0.05, 0.0, n=n, half_width=half_width)
+    assert report.converged
+    check = verify(p)["checks"]["stray_crosscheck"]
+    assert check["max_discrepancy"] <= check["tol"] == 1e-3 and check["passed"]
 
 
 def test_stray_crosscheck_fails_on_a_foreign_operator(solved):
@@ -308,9 +342,9 @@ def test_verify_evaluates_each_field_once(solved, operators, monkeypatch):
     kernel = _count_calls(monkeypatch, "energy_and_gradient")
     report = verify(p, op)
     assert "far_field" in report["checks"]
+    # the energy kernel's stray field is v, read by the bounds and the cross-check
     assert len(kernel) == 1
-    # the energy kernel's stray field and v
-    assert len(spectral) == 2
+    assert len(spectral) == 1
 
 
 def test_verify_builds_one_lattice_and_no_toeplitz_product(solved, monkeypatch):

@@ -248,6 +248,29 @@ def test_verify_json_matches_library(tmp_path, nu):
     assert report["profile"] == str(prof)
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_every_json_file_is_strict_json(tmp_path):
+    # RFC 8259 has no Infinity or NaN; at nu = 0 there is no stray field to bound
+    for nu in ("1", "0"):
+        out = tmp_path / f"nu{nu}"
+        assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(out / "solve")] + FAST) == 0
+        prof = str(out / "solve" / "profile.txt")
+        assert run(["verify", prof, "--out-dir", str(out / "verify")]) == 0
+        assert run(["path", prof, prof, "--out-dir", str(out / "path")]) == 0
+    files = sorted(tmp_path.rglob("*.json"))
+    assert [f.name for f in files].count("verify.json") == 2 and len(files) == 8
+    for f in files:
+        _strict_json(f)
+    bounds = _strict_json(tmp_path / "nu0" / "verify" / "verify.json")["checks"]["bounds"]
+    assert bounds["bound_v"] is None and bounds["sup_v"] == 0.0 and bounds["passed"]
+
+
 def test_path_same_profile_coincides(solved_dir, tmp_path):
     prof = str(solved_dir / "profile.txt")
     code = run(["path", prof, prof, "--out-dir", str(tmp_path)])
