@@ -205,12 +205,12 @@ def check_bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> Bounds
       max|v|        <= 4 nu / pi^2 + (2/nu)(1+|h|+(1+|h|)^2) + 4 E
       max|theta_xx| <= 1 + |h| + (nu/2) max|v|
 
-    At nu = 0 there is no stray field: sup_v is 0 and bound_v None.
-    Violations are reported via all_satisfied, never raised.
+    At nu = 0 there is no stray field: v is not read, sup_v is 0 and
+    bound_v None. Violations are reported via all_satisfied, never raised.
     """
     nu = p.params.nu
     ah = abs(p.params.h)
-    if v is not None:
+    if nu > 0:
         sup_v = float(np.max(np.abs(v)))
         bound_v = 4.0 * nu / math.pi**2 + (2.0 / nu) * (1.0 + ah + (1.0 + ah) ** 2) + 4.0 * e_total
     else:
@@ -237,8 +237,8 @@ def _quadrature_gap(u: np.ndarray, v: np.ndarray, grid: Grid, delta: float, seed
     return max(float(abs(apply_quadrature(u, grid, int(i), delta) - v[i])) for i in idx)
 
 
-def _gate(key: str, value: float, tol: float) -> dict:
-    return {key: value, "tol": tol, "passed": value <= tol}
+def _gate(key: str, value: float | None, tol: float) -> dict:
+    return {key: value, "tol": tol, "passed": value is not None and value <= tol}
 
 
 def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 0) -> dict:
@@ -249,7 +249,8 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     pi - theta_h and theta_h), el_residual, monotone, symmetry, decay_fit,
     bounds and tail_decay, and at nu > 0 also stray_crosscheck and, when the
     tail fit succeeds, far_field: the fitted c_plus against the far-field
-    law's constant from the integral of u. One energy_and_gradient call gives
+    law's constant from the integral of u (a null relative_gap, failing,
+    when that constant is 0). One energy_and_gradient call gives
     the energy, the gradient and the stray field v, which serves the bounds
     and the quadrature cross-check at seeded random nodes, split at
     delta = min(default_delta(nu), L/2) so that the window fits the grid.
@@ -293,7 +294,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
         if fit is not None:
             pred = far_field_constant(p)
-            rel = abs(fit.c_plus - pred) / abs(pred) if pred else math.inf
+            rel = abs(fit.c_plus - pred) / abs(pred) if pred else None
             checks["far_field"] = {"predicted": pred, "fitted": fit.c_plus,
                                    **_gate("relative_gap", rel, VERIFY_FAR_FIELD_TOL)}
     return {"passed": all(c["passed"] for c in checks.values()), "checks": checks}

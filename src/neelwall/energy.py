@@ -53,14 +53,15 @@ def energy_and_gradient(
     inner -= theta[:-2]
     inner /= dx
     # local and stray forces in one product: cos theta (u + nu/2 T v)
-    force = u
     stray, field = 0.0, None
     if nu > 0:
         stray = 0.25 * nu * pairing(op, u, u)
         field = apply_spectral(op, u)
-        force = field * (0.5 * nu)
-        force += u
-    force = np.cos(theta[1:-1]) * force[1:-1]
+        force = field[1:-1] * (0.5 * nu)
+        force += u[1:-1]
+        force *= np.cos(theta[1:-1])
+    else:
+        force = np.cos(theta[1:-1]) * u[1:-1]
     force *= dx
     inner += force
     return energy_parts(theta, u, dx, stray), g, field

@@ -255,7 +255,7 @@ def minimize(
 
     def fg(z: np.ndarray):
         theta = to_theta(z)
-        eb, g, _ = energy_and_gradient(p.with_theta(theta), op)
+        eb, g = energy_and_gradient(p.with_theta(theta), op)[:2]
         gz = dst(np.stack((g[left], g[right])))
         gz *= scale
         return eb.total, gz.ravel(), (theta, eb, grad_norm(g, dx))

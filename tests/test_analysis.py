@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from neelwall import (
     tail_decay_check,
     verify,
 )
+from neelwall import analysis
 from neelwall.analysis import _median, derivative_sup
 
 # the package root exports a function named energy, which hides the module
@@ -156,6 +158,24 @@ def test_bounds_are_the_papers_formulas(solved, operators):
     expected_v = 4 * nu / math.pi**2 + (2 / nu) * (1 + h + (1 + h) ** 2) + 4 * e
     assert bounds["bound_v"] == pytest.approx(expected_v, rel=1e-12)
     assert bounds["bound_theta_xx"] == pytest.approx(1 + h + 0.5 * nu * sup_v, rel=1e-12)
+
+
+def test_bounds_need_the_field_at_positive_nu():
+    # whether there is a stray field is nu's to say, not the caller's v
+    p = _kink(make_grid(257, 40.0), make_params(1.0, 0.3))
+    with pytest.raises(TypeError):
+        check_bounds(p, energy(p, make_operator(p.grid)).total, None)
+
+
+def test_far_field_gap_is_null_when_the_law_predicts_no_tail(solved, operators, monkeypatch):
+    # a relative gap to 0 is undefined: null in strict JSON, and the check fails
+    p, _ = solved(1.0, 0.25)
+    _, op = operators()
+    monkeypatch.setattr(analysis, "far_field_constant", lambda p: 0.0)
+    report = verify(p, op)
+    far_field = report["checks"]["far_field"]
+    assert far_field["relative_gap"] is None and not far_field["passed"]
+    json.dumps(report, allow_nan=False)
 
 
 def test_derivative_sups_of_kink():
