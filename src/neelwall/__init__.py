@@ -42,6 +42,7 @@ from .halflap import (
     make_operator,
     pairing,
     seminorm_double_integral,
+    spectrum,
 )
 from .model import (
     EnergyBreakdown,

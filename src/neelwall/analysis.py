@@ -32,6 +32,7 @@ from .halflap import (
     make_operator,
     pairing,
     seminorm_double_integral,
+    spectrum,
 )
 from .model import Grid, WallProfile
 
@@ -320,14 +321,20 @@ def oracle(grid: Grid, seed: int = 0) -> dict:
     Returns {"passed", "checks"} like verify, with the checks
     operator_equivalence (against the quadrature split at delta = pi, at
     seeded random nodes, relative to sup|u|), lorentzian_closed_form (sup
-    error on |x| <= L/2) and seminorm_identity (pairing(u, u) against the
-    double-integral seminorm, relative); the corpus checks keep each
-    function's gap under "gaps" and gate their maximum.
+    error on |x| <= L/2) and seminorm_identity (the pairing of u with
+    itself against the double-integral seminorm, relative); the corpus
+    checks keep each function's gap under "gaps" and gate their maximum.
+    Each function's spectrum serves its field and its pairing.
     """
     op = make_operator(grid)
     rng = np.random.default_rng(seed)
     corpus = _oracle_corpus(grid)
-    stray = {name: apply_spectral(op, u) for name, u in corpus}
+    stray, seminorm = {}, {}
+    for name, u in corpus:
+        su = spectrum(op, u)
+        stray[name] = apply_spectral(op, su)
+        qd = seminorm_double_integral(u, grid)
+        seminorm[name] = abs(pairing(op, su, su) - qd) / abs(qd)
     equivalence = {
         name: _quadrature_gap(u, stray[name], grid, ORACLE_DELTA, rng, ORACLE_SAMPLES)
         / float(np.max(np.abs(u)))
@@ -337,10 +344,6 @@ def oracle(grid: Grid, seed: int = 0) -> dict:
     exact = (1.0 - x**2) / (1.0 + x**2) ** 2
     interior = np.abs(x) <= 0.5 * grid.half_width
     closed = float(np.max(np.abs(stray["lorentzian"] - exact)[interior]))
-    seminorm = {}
-    for name, u in corpus:
-        qd = seminorm_double_integral(u, grid)
-        seminorm[name] = abs(pairing(op, u, u) - qd) / abs(qd)
     checks = {
         "operator_equivalence": _corpus_gate(equivalence),
         "lorentzian_closed_form": _gate("max", closed, ORACLE_TOL),

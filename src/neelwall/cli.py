@@ -250,8 +250,8 @@ def _retain_heap() -> None:
     Every evaluation allocates and frees the same few transform arrays
     (0.13 MB each at n = 8193). Under glibc's default thresholds, which only
     rise after some large block has been freed, they are mapped fresh or
-    trimmed off the heap each time: ~2900 minor page faults per n = 8193
-    solve and ~300 per n = 4097 solve in a fresh process. Serving blocks up
+    trimmed off the heap each time: ~2400 minor page faults per n = 8193
+    solve and ~230 per n = 4097 solve in a fresh process. Serving blocks up
     to 32 MiB from the heap and trimming only past 128 MiB free keeps them
     resident. A no-op where the C library has no mallopt.
     """

@@ -9,21 +9,22 @@ The discrete energy is the quantity the solver minimizes:
 with trapezoid weights w and the Parseval stray form from halflap. One
 kernel, energy_and_gradient, evaluates it together with its exact derivative
 with respect to the interior node values (boundary nodes are
-Dirichlet-frozen): it computes u and cos theta once, takes the stray
-energy from pairing(u, u) and the stray field v = apply_spectral(u), three
-FFTs in all, applies the local and stray forces as one product
-cos theta (u + (nu/2) v), and returns v with the energy and gradient, so
-verify reads all three from one call. The exact gradient guarantees
-monotone descent and exact stationarity at discrete minimizers. grad_norm,
-sup|g|/dx, is the one measure of stationarity: the solver stops on it, the
-uniqueness certificate reads it and verify gates it as el_residual.
+Dirichlet-frozen): it computes u and cos theta once, takes the spectrum of
+u once and from it the stray energy (pairing) and the stray field v
+(apply_spectral), one rfft and one irfft in all, applies the local and
+stray forces as one product cos theta (u + (nu/2) v), and returns v with
+the energy and gradient, so verify reads all three from one call. The
+exact gradient guarantees monotone descent and exact stationarity at
+discrete minimizers. grad_norm, sup|g|/dx, is the one measure of
+stationarity: the solver stops on it, the uniqueness certificate reads it
+and verify gates it as el_residual.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .halflap import HalfLaplacianOperator, apply_spectral, pairing
+from .halflap import HalfLaplacianOperator, apply_spectral, pairing, spectrum
 from .model import EnergyBreakdown, WallProfile
 
 __all__ = [
@@ -39,8 +40,11 @@ def energy_and_gradient(
 ) -> tuple[EnergyBreakdown, np.ndarray, np.ndarray | None]:
     """The three energy parts, the exact gradient with respect to the
     interior node values, returned full length with zeros at the frozen
-    boundary nodes, and the stray field v = apply_spectral(u) the gradient
-    is built from (None at nu = 0, where no transform is made)."""
+    boundary nodes, and the stray field v, the half-Laplacian of u the
+    gradient is built from (None at nu = 0, where no transform is made).
+    Raises ValueError when op was built for another grid."""
+    if op.grid != p.grid:
+        raise ValueError(f"operator built for {op.grid}, profile on {p.grid}")
     theta = p.theta
     dx = p.grid.spacing
     h, nu = p.params.h, p.params.nu
@@ -55,8 +59,9 @@ def energy_and_gradient(
     # local and stray forces in one product: cos theta (u + nu/2 T v)
     stray, field = 0.0, None
     if nu > 0:
-        stray = 0.25 * nu * pairing(op, u, u)
-        field = apply_spectral(op, u)
+        su = spectrum(op, u)
+        stray = 0.25 * nu * pairing(op, su, su)
+        field = apply_spectral(op, su)
         force = field[1:-1] * (0.5 * nu)
         force += u[1:-1]
         force *= np.cos(theta[1:-1])
@@ -86,8 +91,8 @@ def energy_parts(
     theta: np.ndarray, u: np.ndarray, dx: float, stray: float
 ) -> EnergyBreakdown:
     """The breakdown of the discrete energy of theta, u = sin theta - h,
-    given its stray part (nu/4) pairing(u, u); the potential's trapezoid
-    sum is dx (u.u - (u_0^2 + u_{n-1}^2)/2)."""
+    given its stray part, (nu/4) times the pairing of u with itself; the
+    potential's trapezoid sum is dx (u.u - (u_0^2 + u_{n-1}^2)/2)."""
     dtheta = np.diff(theta)
     exchange = 0.5 * float(dtheta @ dtheta) / dx
     potential = 0.5 * dx * float(u @ u - 0.5 * (u[0] * u[0] + u[-1] * u[-1]))

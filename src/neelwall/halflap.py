@@ -2,15 +2,17 @@
 
 The discrete model is the zero-padded FFT lattice with multiplier |k|: one
 lattice per grid, HalfLaplacianOperator, which alone chooses the padded
-length P and holds |k|. Between grid nodes |k| applies the symmetric
-Toeplitz matrix with column K_P = irfft(|k|, P)[:n], which make_operator
-builds once. The column is applied through its symmetric circulant
-embedding at the fast length M >= 2n - 2, about P/2 and a power of two on
-grids of n = 2^k + 1 nodes (Chan & Ng, SIAM Review 38, 1996): spectrum
-rffts at M, apply_spectral multiplies by the embedding's real spectrum of
-K_P and irffts, and the stray-field form pairing(u, w) is the Parseval sum
-(parseval) of two such spectra, weighted once per operator; callers that
-combine spectra linearly, like the path scan, use the same summation.
+length P. Between grid nodes |k| applies the symmetric Toeplitz matrix with
+column K_P = irfft(|k|, P)[:n], which make_operator builds once. The column
+is applied through its symmetric circulant embedding at the fast length
+M >= 2n - 2, about P/2 and a power of two on grids of n = 2^k + 1 nodes
+(Chan & Ng, SIAM Review 38, 1996). spectrum is the one way in: it rffts an
+input at M, and everything else works on its spectra. apply_spectral
+multiplies a spectrum by the embedding's real spectrum of K_P and irffts,
+and the stray-field form pairing is the Parseval sum of two spectra,
+weighted once per operator; a caller that needs both of one input, like
+the energy kernel, or combines spectra linearly, like the path scan,
+transforms each input once.
 The cross-check is a principal-value singular integral split at a scale
 delta, with the inner part written as a symmetrized second difference
 (removable singularity) and the outer part closed in form beyond the grid
@@ -44,7 +46,6 @@ __all__ = [
     "apply_spectral",
     "apply_quadrature",
     "spectrum",
-    "parseval",
     "pairing",
     "seminorm_double_integral",
     "default_delta",
@@ -63,18 +64,15 @@ TAIL_TOL = 1e-2
 class HalfLaplacianOperator:
     """The zero-padded FFT lattice of one grid and its Toeplitz kernel.
 
-    The lattice has padded_len points and wavenumbers holds |k| on its
-    real-FFT half. column is K_P, the first n entries of the lattice's
-    inverse transform of |k|, and kernel the real spectrum of its circulant
-    embedding of length embed_len. weights is kernel dx/embed_len with the
-    interior real-FFT bins doubled (each stands for itself and its
-    conjugate), the Parseval weights of parseval.
+    The lattice has padded_len points. kernel is the real spectrum of the
+    circulant embedding, of length embed_len, of K_P, the first n entries
+    of the lattice's inverse transform of |k|. weights is kernel
+    dx/embed_len with the interior real-FFT bins doubled (each stands for
+    itself and its conjugate), the Parseval weights of pairing.
     """
 
     grid: Grid
     padded_len: int
-    wavenumbers: np.ndarray
-    column: np.ndarray
     embed_len: int
     kernel: np.ndarray
     weights: np.ndarray
@@ -147,8 +145,6 @@ def make_operator(grid: Grid) -> HalfLaplacianOperator:
     return HalfLaplacianOperator(
         grid=grid,
         padded_len=padded_len,
-        wavenumbers=k,
-        column=column,
         embed_len=embed_len,
         kernel=kernel,
         weights=weights,
@@ -174,12 +170,11 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     return np.fft.rfft(v, op.embed_len)
 
 
-def apply_spectral(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
-    """Half-Laplacian on the padded lattice: its Toeplitz kernel applied
-    through the circulant embedding, one rfft and one irfft at embed_len."""
-    spec = spectrum(op, u)
-    spec *= op.kernel
-    return np.fft.irfft(spec, op.embed_len)[: op.grid.n]
+def apply_spectral(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:
+    """Half-Laplacian on the padded lattice of the input whose spectrum is
+    su: its Toeplitz kernel applied through the circulant embedding, one
+    irfft at embed_len. su is not overwritten."""
+    return np.fft.irfft(su * op.kernel, op.embed_len)[: op.grid.n]
 
 
 def default_delta(nu: float) -> float:
@@ -237,26 +232,14 @@ def apply_quadrature(
     return (inner_term + outer_term + tails) / math.pi
 
 
-def parseval(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
-    """The pairing of two spectra from spectrum: dx/M sum kernel Re(su conj(sw))
-    over the embedding's full lattice of M = embed_len points, taken on its
-    real-FFT half as weights.(Re su Re sw) + weights.(Im su Im sw), which is
-    exactly symmetric in su and sw. It equals dx v.(T z) for the padded
-    lattice's Toeplitz matrix T and the end-mean-free samples v, z behind
-    su, sw."""
+def pairing(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
+    """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx of the inputs
+    whose spectra are su and sw: dx/M sum kernel Re(su conj(sw)) over the
+    embedding's full lattice of M = embed_len points, taken on its real-FFT
+    half as weights.(Re su Re sw) + weights.(Im su Im sw), which is exactly
+    symmetric in su and sw. It equals dx v.(T z) for the padded lattice's
+    Toeplitz matrix T and the end-mean-free samples v, z behind su, sw."""
     return float(op.weights @ (su.real * sw.real) + op.weights @ (su.imag * sw.imag))
-
-
-def pairing(op: HalfLaplacianOperator, u: np.ndarray, w: np.ndarray) -> float:
-    """Bilinear stray-field form int u (-d^2/dx^2)^(1/2) w dx.
-
-    Evaluated in the frequency domain (Parseval) on the circulant embedding
-    of the padded lattice's kernel, which makes the form exactly symmetric;
-    pairing(op, u, u) transforms once.
-    """
-    su = spectrum(op, u)
-    sw = su if w is u else spectrum(op, w)
-    return parseval(op, su, sw)
 
 
 def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:

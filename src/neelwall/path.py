@@ -33,7 +33,7 @@ import numpy as np
 
 from .energy import energy_and_gradient, energy_parts, grad_norm
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
-from .halflap import HalfLaplacianOperator, make_operator, parseval, spectrum
+from .halflap import HalfLaplacianOperator, make_operator, pairing, spectrum
 from .model import Grid, WallProfile, trapezoid_weights
 from .solver import SolveOptions
 
@@ -144,7 +144,7 @@ def path_scan(
     """Evaluate f, f', f'' on a sorted t grid in [0, 1], from p2 (t = 0)
     to p1 (t = 1).
 
-    With q_ab the parseval sum of the spectra s_a and s_b, the stray part
+    With q_ab the pairing of the spectra s_a and s_b, the stray part
     of f is nu/4 (q_22 + t (2 q_2d + t q_dd)) inside and nu/4 q_11, nu/4 q_22
     at the ends; f' takes nu/2 (q_2d + t q_dd) and f'' takes nu/2 q_dd.
     s_d is the spectrum of du itself: s_1 - s_2 would cancel the digits of
@@ -153,7 +153,8 @@ def path_scan(
     f_second_fd is the 5-point central difference of f, defined on a
     uniform grid at indices with two neighbors on each side (nan
     elsewhere); f_second_analytic comes from differentiating the discrete
-    energy in t, so the two agree to roundoff.
+    energy in t, so the two agree to roundoff. Raises ValueError when op
+    was built for another grid.
     """
     _require_pair(p1, p2)
     if t_grid is None:
@@ -163,6 +164,8 @@ def path_scan(
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted")
     op = op or make_operator(p1.grid)
+    if op.grid != p1.grid:
+        raise ValueError(f"operator built for {op.grid}, profiles on {p1.grid}")
     grid, dx = p1.grid, p1.grid.spacing
     nu, h = p1.params.nu, p1.params.h
     sin1, sin2 = np.sin(p1.theta), np.sin(p2.theta)
@@ -174,7 +177,7 @@ def path_scan(
     if nu > 0:
         s1, s2, sd = (spectrum(op, u) for u in (u1, u2, du))
         pairs = ((s1, s1), (s2, s2), (s2, sd), (sd, sd))
-        q11, q22, q2d, qdd = (parseval(op, a, b) for a, b in pairs)
+        q11, q22, q2d, qdd = (pairing(op, a, b) for a, b in pairs)
 
     # pointwise t-derivatives of theta^t, zero at the pinned center: from s =
     # sin theta^t, s_t = ds and cos theta^t = +-sqrt((1-s)(1+s)) with the sign

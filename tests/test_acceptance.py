@@ -26,6 +26,7 @@ from neelwall import (
     pairing,
     recenter,
     seminorm_double_integral,
+    spectrum,
     symmetry_defect,
     tail_decay_check,
     uniqueness_certificate,
@@ -65,7 +66,7 @@ def test_criterion_2_operator_equivalence(operators, solved, rng):
     margin = int(math.ceil(delta / grid.spacing)) + 2
     worst = 0.0
     for _, u in corpus:
-        v = apply_spectral(op, u)
+        v = apply_spectral(op, spectrum(op, u))
         scale = float(np.max(np.abs(u)))
         idx = rng.integers(margin, grid.n - margin, size=8)
         gap = max(abs(apply_quadrature(u, grid, int(i), delta) - v[i]) for i in idx)
@@ -73,7 +74,7 @@ def test_criterion_2_operator_equivalence(operators, solved, rng):
     u = 1.0 / (1.0 + x**2)
     exact = (1.0 - x**2) / (1.0 + x**2) ** 2
     interior = np.abs(x) <= 0.5 * grid.half_width
-    closed = float(np.max(np.abs(apply_spectral(op, u) - exact)[interior]))
+    closed = float(np.max(np.abs(apply_spectral(op, spectrum(op, u)) - exact)[interior]))
     ok = worst <= 1e-4 and closed <= 1e-5
     record_criterion(
         "criterion 2: operator oracle equivalence",
@@ -95,7 +96,8 @@ def test_criterion_3_seminorm_identity(operators, solved):
     ]
     worst = 0.0
     for case_op, case_grid, u in cases:
-        qp = pairing(case_op, u, u)
+        su = spectrum(case_op, u)
+        qp = pairing(case_op, su, su)
         qd = seminorm_double_integral(u, case_grid)
         worst = max(worst, abs(qp - qd) / abs(qd))
     ok = worst <= 1e-4
@@ -179,7 +181,7 @@ def test_criterion_7_bounds_suite(solved, operators):
             ok = False
             continue
         e = energy(p, op).total
-        v = apply_spectral(op, np.sin(p.theta) - h) if nu > 0 else None
+        v = apply_spectral(op, spectrum(op, np.sin(p.theta) - h)) if nu > 0 else None
         hub = 1.0 + abs(h)
         sup_tx = derivative_sup(p, 1)
         ok &= sup_tx <= math.sqrt(hub**2 + 2.0 * nu * e)

@@ -22,6 +22,7 @@ from neelwall import (
     minimize,
     oracle,
     reflect_compose,
+    spectrum,
     symmetry_defect,
     tail_decay_check,
     verify,
@@ -151,7 +152,7 @@ def test_bounds_are_the_papers_formulas(solved, operators):
     p, _ = solved(nu, h)
     _, op = operators()
     e = energy(p, op).total
-    sup_v = float(np.max(np.abs(apply_spectral(op, np.sin(p.theta) - h))))
+    sup_v = float(np.max(np.abs(apply_spectral(op, spectrum(op, np.sin(p.theta) - h)))))
     bounds = verify(p, op)["checks"]["bounds"]
     assert bounds["sup_v"] == pytest.approx(sup_v, rel=1e-12)
     assert bounds["bound_theta_x"] == pytest.approx(math.sqrt((1 + h) ** 2 + 2 * nu * e), rel=1e-12)
@@ -219,12 +220,12 @@ def test_stray_crosscheck_fits_the_grid_at_small_nu(n, half_width, solved):
 
 
 def test_stray_crosscheck_fails_on_a_foreign_operator(solved):
-    # an operator on [-2L, 2L] has twice the spacing, so half the profile's |k|
+    # an operator on [-2L, 2L] has twice the spacing, so half the profile's
+    # |k|: verify refuses it rather than gate a field of another lattice
     p, _ = solved(1.0, 0.0, n=1025)
     op = make_operator(make_grid(p.grid.n, 2 * p.grid.half_width))
-    report = verify(p, op)
-    assert not report["checks"]["stray_crosscheck"]["passed"]
-    assert not report["passed"]
+    with pytest.raises(ValueError, match="operator built for"):
+        verify(p, op)
 
 
 def test_oracle_gates():
@@ -358,13 +359,16 @@ def _count_calls(monkeypatch, name):
 def test_verify_evaluates_each_field_once(solved, operators, monkeypatch):
     p, _ = solved(1.0, 0.25)
     _, op = operators()
+    spectra = _count_calls(monkeypatch, "spectrum")
     spectral = _count_calls(monkeypatch, "apply_spectral")
     kernel = _count_calls(monkeypatch, "energy_and_gradient")
     report = verify(p, op)
     assert "far_field" in report["checks"]
-    # the energy kernel's stray field is v, read by the bounds and the cross-check
+    # the energy kernel's stray field is v, read by the bounds and the
+    # cross-check, and its energy and field share one spectrum of u
     assert len(kernel) == 1
     assert len(spectral) == 1
+    assert len(spectra) == 1
 
 
 def test_verify_builds_one_lattice_and_no_toeplitz_product(solved, monkeypatch):
@@ -379,7 +383,10 @@ def test_verify_builds_one_lattice_and_no_toeplitz_product(solved, monkeypatch):
 
 
 def test_oracle_takes_the_stray_field_of_each_corpus_function_once(monkeypatch):
-    # the Lorentzian's field serves the equivalence and the closed-form check
+    # the Lorentzian's field serves the equivalence and the closed-form check,
+    # and each function's spectrum serves its field and its pairing
+    spectra = _count_calls(monkeypatch, "spectrum")
     spectral = _count_calls(monkeypatch, "apply_spectral")
     oracle(make_grid(257, 20.0))
     assert len(spectral) == 3
+    assert len(spectra) == 3

@@ -11,6 +11,10 @@ from neelwall import (
     make_initial_profile,
     make_operator,
     make_params,
+    minimize,
+    path_scan,
+    uniqueness_certificate,
+    verify,
 )
 from neelwall.model import trapezoid_weights
 
@@ -88,10 +92,10 @@ def test_el_residual_large_off_minimizer(operators):
     assert grad_norm(energy_and_gradient(p, op)[1], p.grid.spacing) > 1e-2
 
 
-@pytest.mark.parametrize("nu, transforms", [(1.0, {"rfft": 2, "irfft": 1}), (0.0, {})])
+@pytest.mark.parametrize("nu, transforms", [(1.0, {"rfft": 1, "irfft": 1}), (0.0, {})])
 def test_an_evaluation_transforms_at_the_embedding_length(nu, transforms, monkeypatch):
-    # the stray energy and field take 2 rffts and 1 irfft at the circulant
-    # embedding's length, none at the padded lattice's
+    # the stray energy and field share one spectrum: 1 rfft and 1 irfft at
+    # the circulant embedding's length, none at the padded lattice's
     grid = make_grid(2049, 40.0)
     op = make_operator(grid)
     p = make_initial_profile(grid, make_params(nu, 0.25), kind="kink")
@@ -110,3 +114,25 @@ def test_an_evaluation_transforms_at_the_embedding_length(nu, transforms, monkey
     assert {length for _, length in calls} <= {op.embed_len}
     assert op.embed_len == 2 * (grid.n - 1)
     assert op.embed_len < op.padded_len
+
+
+ENTRY_POINTS = {
+    "energy_and_gradient": lambda p, q, op: energy_and_gradient(p, op),
+    "minimize": lambda p, q, op: minimize(p, op=op),
+    "verify": lambda p, q, op: verify(p, op),
+    "path_scan": lambda p, q, op: path_scan(p, q, op=op),
+    "uniqueness_certificate": lambda p, q, op: uniqueness_certificate(p, q, op=op),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("n, half_width", [(1023, 40.0), (1025, 20.0)], ids=["other_n", "other_L"])
+def test_an_operator_for_another_grid_is_rejected(entry, n, half_width, solved):
+    # another lattice pairs the samples with the wrong |k|: instead of
+    # raising, path_scan read f(0) = 1.3993628 for 1.3993651 with n = 1023,
+    # and verify failed el_residual and stray_crosscheck with L = 20
+    p, _ = solved(1.0, 0.25, n=1025)
+    q, _ = solved(1.0, 0.25, n=1025, kind="perturbed", seed=3)
+    op = make_operator(make_grid(n, half_width))
+    with pytest.raises(ValueError, match="operator built for"):
+        ENTRY_POINTS[entry](p, q, op)

@@ -12,15 +12,16 @@ def _green(params, grid):
     """The fundamental solution G of the linearized operator at the grid
     nodes: the padded lattice's inverse transform of 1/symbol over dx,
     gathered at |x_i|."""
-    op = make_operator(grid)
-    k = op.wavenumbers
-    column = np.fft.irfft(1.0 / linearized_symbol(params, k, k**2), op.padded_len)[: grid.n] / grid.spacing
+    padded_len = make_operator(grid).padded_len
+    k = 2.0 * math.pi * np.fft.rfftfreq(padded_len, grid.spacing)
+    column = np.fft.irfft(1.0 / linearized_symbol(params, k, k**2), padded_len)[: grid.n] / grid.spacing
     return column[np.abs(np.arange(grid.n) - grid.center_index)]
 
 
 def test_symbol_bounded_below():
     params = make_params(1.0, 0.3)
-    k = make_operator(make_grid(2049, 40.0)).wavenumbers
+    grid = make_grid(2049, 40.0)
+    k = 2.0 * math.pi * np.fft.rfftfreq(make_operator(grid).padded_len, grid.spacing)
     assert np.all(linearized_symbol(params, k, k**2) >= math.cos(params.theta_h) ** 2)
 
 

@@ -19,6 +19,7 @@ from neelwall import (
     path_scan,
     recenter,
     reflect_compose,
+    spectrum,
     uniqueness_certificate,
 )
 import neelwall.path as pathmod
@@ -294,7 +295,8 @@ def test_scan_second_derivative_is_at_least_the_convexity_modulus(which, solutio
     _, op = operators()
     ds = np.sin(p1.theta) - np.sin(p2.theta)
     w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
-    lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, ds, ds)
+    sd = spectrum(op, ds)
+    lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, sd, sd)
     assert lower > 0.0
     assert all(pt.f_second_analytic >= lower for pt in path_scan(p1, p2, op=op))
 
@@ -355,8 +357,9 @@ def _per_t_reference(p1, p2, t, op):
     fp = float(np.dot(dth, ddt1)) / dx + float(np.dot(w, ut * du))
     fpp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx + float(np.dot(w, du * du))
     if nu > 0:
-        fp += (nu / 2) * pairing(op, ut, du)
-        fpp += (nu / 2) * pairing(op, du, du)
+        sd = spectrum(op, du)
+        fp += (nu / 2) * pairing(op, spectrum(op, ut), sd)
+        fpp += (nu / 2) * pairing(op, sd, sd)
     return f, fp, fpp
 
 
