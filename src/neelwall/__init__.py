@@ -38,7 +38,6 @@ from .halflap import (
     HalfLaplacianOperator,
     apply_quadrature,
     apply_spectral,
-    default_delta,
     make_operator,
     pairing,
     seminorm_double_integral,

@@ -11,7 +11,8 @@ energy, gradient and stray field serve every check, and check_bounds takes
 the energy and the field and makes no transform. oracle checks the
 spectral operator and pairing against the quadrature, a closed form and
 the seminorm double integral. Both share one quadrature cross-check, and
-this module owns every tolerance they gate on.
+this module owns every tolerance they gate on but el_residual's, which is
+the solver's own, energy.GRAD_TOL.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import energy_and_gradient, grad_norm
+from .energy import GRAD_TOL, energy_and_gradient, grad_norm
 from .errors import TailTooLargeError, WindowTooNoisyError
 from .greenfn import far_field_constant
 from .halflap import (
     HalfLaplacianOperator,
     apply_quadrature,
     apply_spectral,
-    default_delta,
     make_operator,
     pairing,
     seminorm_double_integral,
@@ -54,14 +54,13 @@ PLATEAU_SPREAD_LIMIT = 0.5
 
 # verify gates
 VERIFY_BOUNDARY_TOL = 1e-12
-VERIFY_EL_TOL = 1e-5
 VERIFY_SYMMETRY_TOL = 1e-4
 VERIFY_CROSSCHECK_TOL = 1e-3
 VERIFY_FAR_FIELD_TOL = 0.2
 CROSSCHECK_SAMPLES = 5
 TAIL_DECAY_FACTOR = 100.0
 
-# oracle gates; delta is default_delta at the default nu = 1, as the corpus has no nu
+# oracle gates; delta is verify's split pi/nu at the default nu = 1, as the corpus has no nu
 ORACLE_TOL = 1e-4
 ORACLE_DELTA = math.pi
 ORACLE_SAMPLES = 8
@@ -247,14 +246,15 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
 
     Returns {"passed": all checks passed, "checks": {name: {..., "passed"}}}
     with the checks boundary (the end values are the Dirichlet data
-    pi - theta_h and theta_h), el_residual, monotone, symmetry, decay_fit,
-    bounds and tail_decay, and at nu > 0 also stray_crosscheck and, when the
-    tail fit succeeds, far_field: the fitted c_plus against the far-field
-    law's constant from the integral of u (a null relative_gap, failing,
-    when that constant is 0). One energy_and_gradient call gives
+    pi - theta_h and theta_h), el_residual (sup|g|/dx within GRAD_TOL, the
+    test a solve stops on), monotone, symmetry, decay_fit, bounds and
+    tail_decay, and at nu > 0 also stray_crosscheck and, when the tail fit
+    succeeds, far_field: the fitted c_plus against the far-field law's
+    constant from the integral of u (a null relative_gap, failing, when
+    that constant is 0). One energy_and_gradient call gives
     the energy, the gradient and the stray field v, which serves the bounds
     and the quadrature cross-check at seeded random nodes, split at
-    delta = min(default_delta(nu), L/2) so that the window fits the grid.
+    delta = min(pi/nu, L/2) so that the window fits the grid.
     When u does not decay at the grid ends, each check that needs the field
     fails with why.
     """
@@ -278,7 +278,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     boundary = np.max(np.abs([p.theta[0] - (math.pi - th), p.theta[-1] - th]))  # NaN-propagating
     checks = {
         "boundary": _gate("max_defect", float(boundary), VERIFY_BOUNDARY_TOL),
-        "el_residual": no_field or _gate("max", grad_norm(grad, p.grid.spacing), VERIFY_EL_TOL),
+        "el_residual": no_field or _gate("max", grad_norm(grad, p.grid.spacing), GRAD_TOL),
         "monotone": {"max_violation": mono_violation, "passed": mono_ok},
         "symmetry": _gate("defect", symmetry_defect(p), VERIFY_SYMMETRY_TOL),
         "decay_fit": decay_fit,
@@ -290,7 +290,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
         checks.update(dict.fromkeys(field_checks, no_field))
     elif nu > 0:
         u = np.sin(p.theta) - p.params.h
-        delta = min(default_delta(nu), 0.5 * p.grid.half_width)
+        delta = min(math.pi / nu, 0.5 * p.grid.half_width)
         gap = _quadrature_gap(u, v, p.grid, delta, seed, CROSSCHECK_SAMPLES)
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
         if fit is not None:

@@ -47,8 +47,8 @@ FLAGS = {
     "h": (float, 0.0, None),
     "n": (int, 4097, None),
     "half_width": (float, 40.0, None),
-    "grad_tol": (float, 1e-6, None),
-    "max_iter": (int, 200_000, None),
+    "grad_tol": (float, solver.SolveOptions.grad_tol, None),
+    "max_iter": (int, solver.SolveOptions.max_iter, None),
     "init": (str, "template", INIT_KINDS),
     "seed": (int, 0, None),
     "out_dir": (str, ".", None),
@@ -279,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             values.update(_read_config(args.config, args.command))
         values.update(vars(args))
+        if values.get("seed", 0) < 0:  # whether or not this run draws from it
+            raise ValueError(f"seed must be non-negative (got {values['seed']})")
         # read from the module at call time, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command](argparse.Namespace(**values))
     except (NeelWallError, ValueError, OSError) as exc:

@@ -16,8 +16,8 @@ stray forces as one product cos theta (u + (nu/2) v), and returns v with
 the energy and gradient, so verify reads all three from one call. The
 exact gradient guarantees monotone descent and exact stationarity at
 discrete minimizers. grad_norm, sup|g|/dx, is the one measure of
-stationarity: the solver stops on it, the uniqueness certificate reads it
-and verify gates it as el_residual.
+stationarity and GRAD_TOL its one default tolerance: the solver stops on
+it, the uniqueness certificate reads it and verify gates it as el_residual.
 """
 
 from __future__ import annotations
@@ -28,11 +28,15 @@ from .halflap import HalfLaplacianOperator, apply_spectral, pairing, spectrum
 from .model import EnergyBreakdown, WallProfile
 
 __all__ = [
+    "GRAD_TOL",
     "energy",
     "energy_and_gradient",
     "energy_parts",
     "grad_norm",
 ]
+
+# a profile is a solution when grad_norm <= GRAD_TOL
+GRAD_TOL = 1e-6
 
 
 def energy_and_gradient(
@@ -74,7 +78,7 @@ def energy_and_gradient(
 
 def grad_norm(g: np.ndarray, dx: float) -> float:
     """sup|g|/dx of an energy_and_gradient gradient, center node included:
-    the stationarity measure a solve stops on at grad_tol.
+    the stationarity measure a solve stops on at grad_tol (GRAD_TOL).
 
     On the interior nodes g/dx is the Euler-Lagrange residual
 

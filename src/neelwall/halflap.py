@@ -48,7 +48,6 @@ __all__ = [
     "spectrum",
     "pairing",
     "seminorm_double_integral",
-    "default_delta",
     "next_fast_len",
     "dst",
     "toeplitz_product",
@@ -175,14 +174,6 @@ def apply_spectral(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:
     su: its Toeplitz kernel applied through the circulant embedding, one
     irfft at embed_len. su is not overwritten."""
     return np.fft.irfft(su * op.kernel, op.embed_len)[: op.grid.n]
-
-
-def default_delta(nu: float) -> float:
-    """Quadrature split scale delta = pi/nu, mirroring the estimate that
-    balances the outer 2/delta term against the inner Taylor term."""
-    if nu <= 0:
-        raise ValueError("delta default pi/nu requires nu > 0")
-    return math.pi / nu
 
 
 def apply_quadrature(

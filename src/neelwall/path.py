@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy_and_gradient, energy_parts, grad_norm
+from .energy import GRAD_TOL, energy_and_gradient, energy_parts, grad_norm
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, pairing, spectrum
 from .model import Grid, WallProfile, trapezoid_weights
@@ -237,7 +237,7 @@ def uniqueness_certificate(
     p1: WallProfile,
     p2: WallProfile,
     op: HalfLaplacianOperator | None = None,
-    grad_tol: float = 1e-6,
+    grad_tol: float = GRAD_TOL,
 ) -> CertificateVerdict:
     """Convexity-based coincidence test for two candidate solutions in B.
 

@@ -43,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from . import analysis
-from .energy import energy_and_gradient, grad_norm
+from .energy import GRAD_TOL, energy_and_gradient, grad_norm
 from .errors import WindowTooNoisyError
 from .greenfn import linearized_symbol
 from .halflap import HalfLaplacianOperator, dst, make_operator
@@ -82,7 +82,7 @@ LINE_SEARCH_EVALS = 20
 
 @dataclass(frozen=True)
 class SolveOptions:
-    grad_tol: float = 1e-6
+    grad_tol: float = GRAD_TOL
     max_iter: int = 200_000
 
     def __post_init__(self):

@@ -14,7 +14,6 @@ from neelwall import (
     apply_spectral,
     check_bounds,
     check_monotone,
-    default_delta,
     derivative_sup,
     energy,
     energy_and_gradient,
@@ -62,7 +61,7 @@ def test_criterion_2_operator_equivalence(operators, solved, rng):
         ("poisson", 1.0 / (1.0 + x**2)),
         ("wall", np.sin(wall.theta) - wall.params.h),
     ]
-    delta = default_delta(1.0)
+    delta = math.pi
     margin = int(math.ceil(delta / grid.spacing)) + 2
     worst = 0.0
     for _, u in corpus:

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -29,9 +30,13 @@ from neelwall import (
 import neelwall.cli as cli
 import neelwall.solver as solver
 from neelwall.cli import main
+from neelwall.energy import GRAD_TOL
 from neelwall.path import PathPoint
 
 FAST = ["--n", "257", "--half-width", "20", "--grad-tol", "1e-5"]
+# verify gates el_residual at the solver's default grad_tol, so a profile it
+# must pass is solved at that tolerance, not at FAST's looser one
+SOLUTION = ["--n", "257", "--half-width", "20"]
 
 
 def run(argv):
@@ -43,6 +48,13 @@ def solved_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve")
     code = run(["solve", "--nu", "1", "--h", "0.3", "--out-dir", str(out)] + FAST)
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def solution_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solution")
+    assert run(["solve", "--nu", "1", "--h", "0.3", "--out-dir", str(out)] + SOLUTION) == 0
     return out
 
 
@@ -109,8 +121,30 @@ def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path):
     assert report["final_grad_norm"] == checks["el_residual"]["max"] == cert["max_grad_1"]
 
 
-def test_verify_pass(solved_dir, tmp_path):
-    code = run(["verify", str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)])
+def test_every_solution_test_reads_the_one_tolerance(solution_dir):
+    certificate_default = inspect.signature(uniqueness_certificate).parameters["grad_tol"].default
+    el_residual = verify(load_profile(solution_dir / "profile.txt"))["checks"]["el_residual"]
+    assert cli.FLAGS["grad_tol"][1] == solver.SolveOptions().grad_tol == GRAD_TOL
+    assert certificate_default == el_residual["tol"] == GRAD_TOL
+    assert cli.FLAGS["max_iter"][1] == solver.SolveOptions().max_iter
+
+
+def test_verify_and_path_refuse_a_profile_solved_short_of_the_tolerance(tmp_path, capsys):
+    # at --grad-tol 1e-5 this solve stops at sup|g|/dx = 2.06e-6: not a solution
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(["solve", *SOLUTION, "--out-dir", str(a)]) == 0
+    assert run(["solve", *SOLUTION, "--init", "perturbed", "--seed", "3", "--grad-tol", "1e-5", "--out-dir", str(b)]) == 0
+    grad_a, grad_b = (json.loads((d / "report.json").read_text())["final_grad_norm"] for d in (a, b))
+    assert grad_a <= GRAD_TOL < grad_b <= 1e-5
+    capsys.readouterr()
+    assert run(["verify", str(b / "profile.txt"), "--out-dir", str(tmp_path / "v")]) == 3
+    assert [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("PASS")] == ["FAIL el_residual"]
+    assert run(["path", str(a / "profile.txt"), str(b / "profile.txt"), "--out-dir", str(tmp_path / "ab")]) == 0
+    assert json.loads((tmp_path / "ab" / "certificate.json").read_text())["verdict"] == "NOT_BOTH_SOLUTIONS"
+
+
+def test_verify_pass(solution_dir, tmp_path):
+    code = run(["verify", str(solution_dir / "profile.txt"), "--out-dir", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["passed"] is True
@@ -227,11 +261,11 @@ def test_profile_with_a_non_finite_node_exits_1(solved_dir, tmp_path, capsys):
     assert capsys.readouterr().err.count("data row 100,") == 2
 
 
-def test_verify_json_far_field_is_the_law_and_the_fit(solved_dir, tmp_path):
+def test_verify_json_far_field_is_the_law_and_the_fit(solution_dir, tmp_path):
     # the JSON round trip keeps both constants to the bit
-    assert run(["verify", str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 0
+    assert run(["verify", str(solution_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 0
     far_field = json.loads((tmp_path / "verify.json").read_text())["checks"]["far_field"]
-    p = load_profile(solved_dir / "profile.txt")
+    p = load_profile(solution_dir / "profile.txt")
     assert far_field["predicted"] == far_field_constant(p)
     assert far_field["fitted"] == fit_decay(p).c_plus
     assert far_field["relative_gap"] <= far_field["tol"] == 0.2 and far_field["passed"]
@@ -240,7 +274,7 @@ def test_verify_json_far_field_is_the_law_and_the_fit(solved_dir, tmp_path):
 @pytest.mark.parametrize("nu", ["1", "0"])
 def test_verify_json_matches_library(tmp_path, nu):
     solve_dir = tmp_path / "solve"
-    assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(solve_dir)] + FAST) == 0
+    assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(solve_dir)] + SOLUTION) == 0
     prof = solve_dir / "profile.txt"
     assert run(["verify", str(prof), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
@@ -259,7 +293,7 @@ def test_every_json_file_is_strict_json(tmp_path):
     # RFC 8259 has no Infinity or NaN; at nu = 0 there is no stray field to bound
     for nu in ("1", "0"):
         out = tmp_path / f"nu{nu}"
-        assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(out / "solve")] + FAST) == 0
+        assert run(["solve", "--nu", nu, "--h", "0.3", "--out-dir", str(out / "solve")] + SOLUTION) == 0
         prof = str(out / "solve" / "profile.txt")
         assert run(["verify", prof, "--out-dir", str(out / "verify")]) == 0
         assert run(["path", prof, prof, "--out-dir", str(out / "path")]) == 0
@@ -443,10 +477,10 @@ def test_config_bad_value_names_file_and_line(command, text, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_sets_the_keys_of_verify(solved_dir, tmp_path):
+def test_config_sets_the_keys_of_verify(solution_dir, tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text(f"seed = 3\nout_dir = {tmp_path / 'out'}\n")
-    prof = solved_dir / "profile.txt"
+    prof = solution_dir / "profile.txt"
     assert run(["verify", str(prof), "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert report["checks"] == verify(load_profile(prof), seed=3)["checks"]
@@ -478,6 +512,42 @@ def test_readme_lists_the_keys_of_the_solve_report(solved_dir):
 def test_invalid_parameter(tmp_path):
     assert run(["solve", "--h", "1.5", "--out-dir", str(tmp_path)] + FAST) == 1
     assert run(["solve", "--nu", "nan", "--out-dir", str(tmp_path)] + FAST) == 1
+
+
+@pytest.fixture(scope="module")
+def start_profiles(tmp_path_factory):
+    out = tmp_path_factory.mktemp("starts")
+    grid = make_grid(257, 20.0)
+    for nu in (0.0, 1.0):
+        save_profile(out / f"nu{nu:g}.txt", make_initial_profile(grid, make_params(nu, 0.3)))
+    return out
+
+
+# every command that reads seed, at each way it uses it: drawn or not
+SEED_READERS = {
+    "solve_template": ["solve", *SOLUTION, "--init", "template"],
+    "solve_perturbed": ["solve", *SOLUTION, "--init", "perturbed"],
+    "verify_nu0": ["verify", "nu0.txt"],
+    "verify_nu1": ["verify", "nu1.txt"],
+    "oracle": ["oracle", *SOLUTION],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("case", list(SEED_READERS))
+def test_a_negative_seed_exits_1_naming_seed(case, source, start_profiles, tmp_path, capsys):
+    argv = [str(start_profiles / a) if a.endswith(".txt") else a for a in SEED_READERS[case]]
+    if case != "oracle":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "seed.cfg").write_text("seed = -1\n")
+        argv += ["--config", str(tmp_path / "seed.cfg")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be non-negative") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -20,7 +20,7 @@ from neelwall import (
     verify,
 )
 from neelwall.analysis import _oracle_corpus
-from neelwall.halflap import default_delta, dst, next_fast_len, toeplitz_product
+from neelwall.halflap import dst, next_fast_len, toeplitz_product
 from neelwall.model import trapezoid_weights
 
 
@@ -50,7 +50,7 @@ def test_lorentzian_closed_form(fine):
 def test_quadrature_matches_spectral(fine, rng):
     grid, op = fine
     x = grid.nodes
-    delta = default_delta(1.0)
+    delta = math.pi
     margin = int(math.ceil(delta / grid.spacing)) + 2
     for u in (1.0 / (1.0 + x**2), np.exp(-0.5 * x**2)):
         v = apply_spectral(op, spectrum(op, u))
@@ -64,9 +64,9 @@ def test_quadrature_rejects_boundary_nodes(fine):
     grid, _ = fine
     u = np.exp(-0.5 * grid.nodes**2)
     with pytest.raises(ValueError):
-        apply_quadrature(u, grid, 2, default_delta(1.0))
+        apply_quadrature(u, grid, 2, math.pi)
     with pytest.raises(ValueError):
-        apply_quadrature(u, grid, grid.n - 1, default_delta(1.0))
+        apply_quadrature(u, grid, grid.n - 1, math.pi)
 
 
 def test_pairing_exactly_symmetric(fine, rng):
