@@ -33,10 +33,10 @@ from neelwall.cli import main
 from neelwall.energy import GRAD_TOL
 from neelwall.path import PathPoint
 
-FAST = ["--n", "257", "--half-width", "20", "--grad-tol", "1e-5"]
 # verify gates el_residual at the solver's default grad_tol, so a profile it
 # must pass is solved at that tolerance, not at FAST's looser one
 SOLUTION = ["--n", "257", "--half-width", "20"]
+FAST = [*SOLUTION, "--grad-tol", "1e-5"]
 
 
 def run(argv):
