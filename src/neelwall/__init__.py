@@ -53,13 +53,11 @@ from .model import (
     make_initial_profile,
     make_params,
     recenter,
-    reflect_compose,
     save_profile,
 )
 from .path import (
     CertificateVerdict,
     PathPoint,
-    interpolate_profiles,
     path_scan,
     uniqueness_certificate,
 )

@@ -162,7 +162,12 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def _parse_list(flag: str, text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"invalid {flag} value {tok!r}") from None
     if not values:
         raise ValueError(f"{flag} names no value")
     return values

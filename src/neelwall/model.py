@@ -32,7 +32,6 @@ __all__ = [
     "trapezoid_weights",
     "make_initial_profile",
     "recenter",
-    "reflect_compose",
     "save_profile",
     "load_profile",
     "write_text_atomic",
@@ -215,11 +214,6 @@ def recenter(p: WallProfile) -> WallProfile:
     theta = np.interp(x + shift, x, p.theta, left=p.theta[0], right=p.theta[-1])
     theta[0], theta[-1] = p.theta[0], p.theta[-1]
     return p.with_theta(theta)
-
-
-def reflect_compose(p: WallProfile) -> WallProfile:
-    """Return the reflected-composed profile x -> pi - theta(-x)."""
-    return p.with_theta(math.pi - p.theta[::-1])
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -19,9 +19,9 @@ test a solve stops on; the slope f' at its end of the path is no such test.
 A scan follows the path's definition: each t takes one arcsin, and cos
 theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
 s - h = t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic
-in t whose coefficients come from three real FFTs, whatever the number of t
-points: the spectra of u_1, u_2 and du = u_1 - u_2. At t = 0 and 1, f is
-the energy of the input profile itself, bit for bit.
+in t whose coefficients come from three real FFTs for the whole scan: the
+spectra of u_1, u_2 and du = u_1 - u_2. At t = 0 and 1, f is the energy of
+the input profile itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from .solver import SolveOptions
 __all__ = [
     "PathPoint",
     "CertificateVerdict",
-    "interpolate_profiles",
     "path_scan",
     "uniqueness_certificate",
 ]
 
 RECENTRE_TOL = 1e-8
-DEFAULT_T_POINTS = 41
+T_POINTS = 41  # the scan: t = 0, 1/40, ..., 1
 
 
 @dataclass(frozen=True)
@@ -100,14 +99,6 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
             )
 
 
-def _require_unit_interval(t) -> None:
-    """Every t must lie in the path's domain [0, 1]; NaN fails too."""
-    t = np.asarray(t, dtype=float)
-    outside = t[~((0.0 <= t) & (t <= 1.0))]
-    if outside.size:
-        raise RangeViolationError(f"t = {float(outside[0])!r} lies outside the path's domain [0, 1]")
-
-
 def _path_theta(
     grid: Grid, sin1: np.ndarray, sin2: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,27 +113,13 @@ def _path_theta(
     return theta, s
 
 
-def interpolate_profiles(p1: WallProfile, p2: WallProfile, t: float) -> WallProfile:
-    """Profile theta^t with sin theta^t = t sin theta_1 + (1-t) sin theta_2,
-    branch pi - arcsin on x < 0; the center node is pi/2 for every t.
-    Raises RangeViolationError unless 0 <= t <= 1."""
-    _require_pair(p1, p2)
-    _require_unit_interval(t)
-    if t == 1.0:
-        return p1.with_theta(p1.theta.copy())
-    if t == 0.0:
-        return p2.with_theta(p2.theta.copy())
-    return p1.with_theta(_path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)[0])
-
-
 def path_scan(
     p1: WallProfile,
     p2: WallProfile,
-    t_grid: np.ndarray | None = None,
     op: HalfLaplacianOperator | None = None,
 ) -> list[PathPoint]:
-    """Evaluate f, f', f'' on a sorted t grid in [0, 1], from p2 (t = 0)
-    to p1 (t = 1).
+    """Evaluate f, f', f'' at the T_POINTS uniform t in [0, 1], from p2
+    (t = 0) to p1 (t = 1).
 
     With q_ab the pairing of the spectra s_a and s_b, the stray part
     of f is nu/4 (q_22 + t (2 q_2d + t q_dd)) inside and nu/4 q_11, nu/4 q_22
@@ -150,19 +127,13 @@ def path_scan(
     s_d is the spectrum of du itself: s_1 - s_2 would cancel the digits of
     f'' when the profiles nearly coincide.
 
-    f_second_fd is the 5-point central difference of f, defined on a
-    uniform grid at indices with two neighbors on each side (nan
-    elsewhere); f_second_analytic comes from differentiating the discrete
-    energy in t, so the two agree to roundoff. Raises ValueError when op
-    was built for another grid.
+    f_second_fd is the 5-point central difference of f, nan at the two t
+    at each end that lack two neighbors; f_second_analytic comes from
+    differentiating the discrete energy in t, so the two agree to roundoff.
+    Raises ValueError when op was built for another grid.
     """
     _require_pair(p1, p2)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, DEFAULT_T_POINTS)
-    t_grid = np.asarray(t_grid, dtype=float)
-    _require_unit_interval(t_grid)
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be sorted")
+    ts = np.linspace(0.0, 1.0, T_POINTS)
     op = op or make_operator(p1.grid)
     if op.grid != p1.grid:
         raise ValueError(f"operator built for {op.grid}, profiles on {p1.grid}")
@@ -184,7 +155,7 @@ def path_scan(
     # of x, theta_t = ds / cos theta^t and theta_tt = theta_t^2 s / cos theta^t
     ds, c = sin1 - sin2, grid.center_index
     rows = []
-    for t in map(float, t_grid):
+    for t in map(float, ts):
         theta, s = _path_theta(grid, sin1, sin2, t)
         cs = np.sqrt((1.0 - s) * (1.0 + s))
         np.negative(cs, out=cs, where=grid.nodes < 0.0)
@@ -209,17 +180,12 @@ def path_scan(
         rows.append((f, f_p + (nu / 2.0) * (q2d + t * qdd), f_pp + (nu / 2.0) * qdd))
 
     fs = np.array([r[0] for r in rows])
-    fd = np.full(len(t_grid), math.nan)
-    if len(t_grid) >= 5:
-        dt = np.diff(t_grid)
-        if np.allclose(dt, dt[0], rtol=1e-10, atol=0.0):
-            step = dt[0]
-            fd[2:-2] = (
-                -fs[:-4] + 16.0 * fs[1:-3] - 30.0 * fs[2:-2] + 16.0 * fs[3:-1] - fs[4:]
-            ) / (12.0 * step**2)
+    fd = np.full(T_POINTS, math.nan)
+    step = ts[1]
+    fd[2:-2] = (-fs[:-4] + 16.0 * fs[1:-3] - 30.0 * fs[2:-2] + 16.0 * fs[3:-1] - fs[4:]) / (12.0 * step**2)
     return [
         PathPoint(float(t), f, f_p, float(f_fd), f_pp)
-        for t, (f, f_p, f_pp), f_fd in zip(t_grid, rows, fd)
+        for t, (f, f_p, f_pp), f_fd in zip(ts, rows, fd)
     ]
 
 

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neelwall import (
@@ -123,20 +124,26 @@ def test_every_solution_test_reads_the_one_tolerance(solved_dir):
 
 
 def test_verify_and_path_refuse_a_profile_solved_short_of_the_tolerance(tmp_path, capsys):
-    # at --grad-tol 1e-5 this solve stops at sup|g|/dx = 2.06e-6: not a solution.
-    # The stop is its 8th evaluation (7 iterations) and the one before reads
-    # 4.41e-5, so rounding would have to move a value of this short run by a
-    # factor 2 to bring the stop under 1e-6
-    a, b = tmp_path / "a", tmp_path / "b"
+    # a solution plus 2e-6 times an odd bump, zero at both ends: sup|g|/dx
+    # reads 2.92e-6, a factor 3 from the 1e-6 gate and from 1e-5, so the
+    # profile misses the tolerance by construction, not by where a solve stops
+    a = tmp_path / "a"
     assert run(["solve", *SOLUTION, "--out-dir", str(a)]) == 0
-    assert run(["solve", *SOLUTION, "--init", "perturbed", "--seed", "3", "--grad-tol", "1e-5", "--out-dir", str(b)]) == 0
-    grad_a, grad_b = (json.loads((d / "report.json").read_text())["final_grad_norm"] for d in (a, b))
-    assert grad_a <= GRAD_TOL < grad_b <= 1e-5
+    p = load_profile(a / "profile.txt")
+    x = p.grid.nodes
+    bump = x * np.exp(-x * x / 2.0)
+    bump[[0, -1]] = 0.0
+    short = tmp_path / "short.txt"
+    save_profile(short, p.with_theta(p.theta + 2e-6 * bump))
     capsys.readouterr()
-    assert run(["verify", str(b / "profile.txt"), "--out-dir", str(tmp_path / "v")]) == 3
+    assert run(["verify", str(short), "--out-dir", str(tmp_path / "v")]) == 3
     assert [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("PASS")] == ["FAIL el_residual"]
-    assert run(["path", str(a / "profile.txt"), str(b / "profile.txt"), "--out-dir", str(tmp_path / "ab")]) == 0
-    assert json.loads((tmp_path / "ab" / "certificate.json").read_text())["verdict"] == "NOT_BOTH_SOLUTIONS"
+    el_residual = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]["el_residual"]
+    assert 2e-6 <= el_residual["max"] <= 5e-6
+    assert run(["path", str(a / "profile.txt"), str(short), "--out-dir", str(tmp_path / "ab")]) == 0
+    cert = json.loads((tmp_path / "ab" / "certificate.json").read_text())
+    assert cert["verdict"] == "NOT_BOTH_SOLUTIONS"
+    assert cert["max_grad_1"] <= GRAD_TOL < cert["max_grad_2"]
 
 
 def test_verify_pass(solved_dir, tmp_path):
@@ -379,10 +386,17 @@ def test_path_rejects_a_profile_outside_the_branch_box(solved_dir, tmp_path, cap
     assert f"node {p.grid.n - 2}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lists", [["--nu-list", ""], ["--nu-list", ","], ["--h-list", " , "]])
+@pytest.mark.parametrize(
+    "lists",
+    [["--nu-list", ""], ["--nu-list", ","], ["--h-list", " , "], ["--nu-list", "1,x"], ["--h-list", "0,abc"]],
+)
 def test_sweep_with_an_empty_list_exits_1(lists, tmp_path, capsys):
     assert run(["sweep", *lists, "--out-dir", str(tmp_path / "out")] + FAST) == 1
-    assert "names no value" in capsys.readouterr().err
+    flag, text = lists
+    bad = re.findall("[a-z]+", text)
+    # the message names the flag, and the token that is not a number
+    expected = f"invalid {flag} value {bad[0]!r}" if bad else f"{flag} names no value"
+    assert capsys.readouterr().err == f"error: {expected}\n"
     assert not (tmp_path / "out").exists()
 
 

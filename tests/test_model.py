@@ -11,7 +11,6 @@ from neelwall import (
     make_initial_profile,
     make_params,
     recenter,
-    reflect_compose,
     save_profile,
 )
 from neelwall.model import _crossing_locations
@@ -127,15 +126,6 @@ def test_recenter_errors():
     wiggly = base.with_theta(math.pi / 2 + np.sin(grid.nodes))
     with pytest.raises(MultipleCrossingsError):
         recenter(wiggly)
-
-
-def test_reflect_compose_involution():
-    params = make_params(1.0, 0.3)
-    grid = make_grid(257, 40.0)
-    p = make_initial_profile(grid, params, kind="perturbed", seed=1)
-    q = reflect_compose(reflect_compose(p))
-    # pi - (pi - theta) rounds within one ulp of pi
-    assert np.allclose(q.theta, p.theta, atol=1e-15, rtol=0)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -9,7 +9,6 @@ from neelwall import (
     RangeViolationError,
     SolveOptions,
     energy,
-    interpolate_profiles,
     make_grid,
     make_initial_profile,
     make_operator,
@@ -18,7 +17,6 @@ from neelwall import (
     pairing,
     path_scan,
     recenter,
-    reflect_compose,
     spectrum,
     uniqueness_certificate,
 )
@@ -35,61 +33,34 @@ def pair():
     return p1, p2
 
 
-def test_endpoints_exact(pair):
-    p1, p2 = pair
-    assert np.array_equal(interpolate_profiles(p1, p2, 1.0).theta, p1.theta)
-    assert np.array_equal(interpolate_profiles(p1, p2, 0.0).theta, p2.theta)
-
-
 def test_fixed_point(pair):
     p1, _ = pair
-    mid = interpolate_profiles(p1, p1, 0.5)
-    assert np.max(np.abs(mid.theta - p1.theta)) <= 1e-14
+    theta, _ = pathmod._path_theta(p1.grid, np.sin(p1.theta), np.sin(p1.theta), 0.5)
+    assert np.max(np.abs(theta - p1.theta)) <= 1e-14
 
 
 def test_midpoint_formula(pair, rng):
     p1, p2 = pair
     t = 0.5
-    q = interpolate_profiles(p1, p2, t)
+    theta, _ = pathmod._path_theta(p1.grid, np.sin(p1.theta), np.sin(p2.theta), t)
     idx = rng.integers(1, p1.grid.n - 1, size=10)
     s = t * np.sin(p1.theta[idx]) + (1 - t) * np.sin(p2.theta[idx])
-    assert np.allclose(np.sin(q.theta[idx]), s, atol=1e-14)
+    assert np.allclose(np.sin(theta[idx]), s, atol=1e-14)
 
 
 def test_center_node_is_half_pi(pair):
     p1, p2 = pair
     c = p1.grid.center_index
+    sin1, sin2 = np.sin(p1.theta), np.sin(p2.theta)
     for t in (0.0, 0.3, 0.7, 1.0):
-        assert interpolate_profiles(p1, p2, t).theta[c] == math.pi / 2
+        assert pathmod._path_theta(p1.grid, sin1, sin2, t)[0][c] == math.pi / 2
 
 
 def test_requires_recentred_inputs(pair):
     p1, p2 = pair
     shifted = p1.with_theta(np.roll(p1.theta, 5))
     with pytest.raises(NotRecentredError):
-        interpolate_profiles(shifted, p2, 0.5)
-
-
-def test_range_guard(pair):
-    p1, p2 = pair
-    c = p1.grid.center_index
-    # t = 1.5 lies outside the path's domain; with one sine sample depressed
-    # the extrapolated sine would also overshoot 1 there
-    theta = p2.theta.copy()
-    theta[c + 1] = p2.params.theta_h
-    with pytest.raises(RangeViolationError):
-        interpolate_profiles(p1, p2.with_theta(theta), 1.5)
-
-
-@pytest.mark.parametrize("t", [math.nan, -0.2, 1.5])
-def test_path_parameter_outside_the_unit_interval_is_rejected(t):
-    # interpolate_profiles returned 256 NaN nodes at t = nan and an
-    # extrapolated profile at -0.2 and 1.5; nan passed path_scan's checks
-    p1, p2 = _kink_pair(1.0, n=257)
-    with pytest.raises(RangeViolationError, match="outside the path's domain"):
-        interpolate_profiles(p1, p2, t)
-    with pytest.raises(RangeViolationError, match="outside the path's domain"):
-        path_scan(p1, p2, [0.0, t, 1.0])
+        path_scan(shifted, p2)
 
 
 def test_certificate_checks_the_pair_once(monkeypatch, pair):
@@ -117,7 +88,7 @@ def test_flat_topped_pair_gets_the_verdict_of_its_reflection(bump, rejected):
     p1 = kink.with_theta(theta)
     p2 = make_initial_profile(grid, params, kind="kink", width=2.0)
     outcomes = []
-    for a, b in ((p1, p2), (reflect_compose(p1), reflect_compose(p2))):
+    for a, b in ((p1, p2), [p.with_theta(math.pi - p.theta[::-1]) for p in (p1, p2)]):
         if rejected:
             with pytest.raises(FlatTopError):
                 path_scan(a, b)
@@ -131,7 +102,7 @@ def test_flat_topped_pair_gets_the_verdict_of_its_reflection(bump, rejected):
 def test_scan_endpoint_energies(pair, operators):
     p1, p2 = pair
     _, op = operators()
-    pts = path_scan(p1, p2, t_grid=np.linspace(0, 1, 11), op=op)
+    pts = path_scan(p1, p2, op=op)
     # bit for bit: the ends are the input profiles, not their arcsin images
     assert pts[0].f == energy(p2, op).total
     assert pts[-1].f == energy(p1, op).total
@@ -150,10 +121,9 @@ def test_scan_convexity_and_fd_consistency(pair, operators):
 def test_scan_first_derivative_matches_fd(pair, operators):
     p1, p2 = pair
     _, op = operators()
-    ts = np.linspace(0, 1, 21)
-    pts = path_scan(p1, p2, t_grid=ts, op=op)
+    pts = path_scan(p1, p2, op=op)
     fs = np.array([pt.f for pt in pts])
-    dt = ts[1] - ts[0]
+    dt = pts[1].t - pts[0].t
     fd = (fs[2:] - fs[:-2]) / (2 * dt)
     an = np.array([pt.f_prime for pt in pts])[1:-1]
     # central difference carries its own O(dt^2) truncation error
@@ -163,17 +133,25 @@ def test_scan_first_derivative_matches_fd(pair, operators):
 def test_scan_swap_symmetry(pair, operators):
     p1, p2 = pair
     _, op = operators()
-    ts = np.linspace(0, 1, 9)
-    a = path_scan(p1, p2, t_grid=ts, op=op)
-    b = path_scan(p2, p1, t_grid=ts, op=op)
+    a = path_scan(p1, p2, op=op)
+    b = path_scan(p2, p1, op=op)
     for pa, pb in zip(a, b[::-1]):
         assert pa.f == pytest.approx(pb.f, rel=1e-13)
+
+
+def test_scan_samples_the_41_uniform_t(pair, operators):
+    p1, p2 = pair
+    _, op = operators()
+    pts = path_scan(p1, p2, op=op)
+    assert np.array_equal([pt.t for pt in pts], np.linspace(0.0, 1.0, 41))
+    # the 5-point difference needs two neighbours on each side
+    assert np.flatnonzero(np.isnan([pt.f_second_fd for pt in pts])).tolist() == [0, 1, 39, 40]
 
 
 def test_scan_degenerate_pair(pair, operators):
     p1, _ = pair
     _, op = operators()
-    pts = path_scan(p1, p1, t_grid=np.linspace(0, 1, 9), op=op)
+    pts = path_scan(p1, p1, op=op)
     for pt in pts:
         assert pt.f == pytest.approx(pts[0].f, rel=1e-14)
         assert abs(pt.f_prime) <= 1e-12
@@ -241,15 +219,11 @@ def test_scan_takes_one_arcsin_per_t_and_no_cos(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
-    per_scan = []
-    for points in (5, 41):
-        calls.update(sin=0, cos=0, arcsin=0)
-        path_scan(p1, p2, t_grid=np.linspace(0.0, 1.0, points))
-        per_scan.append(dict(calls))
-    # theta^t from one arcsin of the mixed sine; cos theta^t from the sine
-    assert [c["arcsin"] for c in per_scan] == [5, 41]
-    assert [c["cos"] for c in per_scan] == [0, 0]
-    assert per_scan[0]["sin"] == per_scan[1]["sin"]
+    calls.update(sin=0, cos=0, arcsin=0)
+    path_scan(p1, p2)
+    # theta^t from one arcsin of the mixed sine; cos theta^t from the sine;
+    # sin theta_1 and sin theta_2 twice each, in the pair check and the scan
+    assert calls == {"sin": 4, "cos": 0, "arcsin": 41}
 
 
 @pytest.mark.parametrize("nu, h, n", [(2.0, 0.3, 1025), (1.0, 0.25, 4097)])
@@ -341,10 +315,10 @@ def _per_t_reference(p1, p2, t, op):
     pairings of u^t, the way the scan computed them one t at a time."""
     grid, dx, c = p1.grid, p1.grid.spacing, p1.grid.center_index
     nu, h = p1.params.nu, p1.params.h
-    f = energy(interpolate_profiles(p1, p2, t), op).total
     s = np.clip(t * np.sin(p1.theta) + (1 - t) * np.sin(p2.theta), -1.0, 1.0)
     theta = np.where(grid.nodes >= 0.0, np.arcsin(s), math.pi - np.arcsin(s))
     theta[c] = math.pi / 2
+    f = energy(p1.with_theta(theta), op).total
     cs = np.cos(theta)
     cs[c] = 1.0
     d = np.sin(p1.theta) - np.sin(p2.theta)
@@ -367,9 +341,9 @@ def _per_t_reference(p1, p2, t, op):
 def test_scan_matches_per_t_formulas(which, solution_pair, operators):
     p1, p2 = solution_pair if which == "solutions" else _kink_pair(1.0)
     _, op = operators()
-    ts = np.linspace(0.0, 1.0, 41)
-    pts = path_scan(p1, p2, t_grid=ts, op=op)
-    ref = np.array([_per_t_reference(p1, p2, float(t), op) for t in ts])
+    pts = path_scan(p1, p2, op=op)
+    ts = [pt.t for pt in pts]
+    ref = np.array([_per_t_reference(p1, p2, t, op) for t in ts])
     f, fp, fpp = (np.array([getattr(pt, k) for pt in pts]) for k in ("f", "f_prime", "f_second_analytic"))
     assert np.max(np.abs(f - ref[:, 0]) / np.abs(ref[:, 0])) <= 1e-14
     # u^t's spectrum is combined from s_1 and s_2, so f' moves by roundoff of the pairing
