@@ -10,9 +10,10 @@ tail constant (greenfn), all from one energy_and_gradient call: its
 energy, gradient and stray field serve every check, and check_bounds takes
 the energy and the field and makes no transform. oracle checks the
 spectral operator and pairing against the quadrature, a closed form and
-the seminorm double integral. Both share one quadrature cross-check, and
-this module owns every tolerance they gate on but el_residual's, which is
-the solver's own, energy.GRAD_TOL.
+the seminorm double integral. Both compare the spectral field with the
+quadrature at every node of one interior, |x| <= L/2, and this module owns
+every tolerance they gate on but el_residual's, which is the solver's own,
+energy.GRAD_TOL.
 """
 
 from __future__ import annotations
@@ -57,13 +58,10 @@ VERIFY_BOUNDARY_TOL = 1e-12
 VERIFY_SYMMETRY_TOL = 1e-4
 VERIFY_CROSSCHECK_TOL = 1e-3
 VERIFY_FAR_FIELD_TOL = 0.2
-CROSSCHECK_SAMPLES = 5
 TAIL_DECAY_FACTOR = 100.0
 
-# oracle gates; delta is verify's split pi/nu at the default nu = 1, as the corpus has no nu
+# oracle gate
 ORACLE_TOL = 1e-4
-ORACLE_DELTA = math.pi
-ORACLE_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -225,23 +223,23 @@ def check_bounds(p: WallProfile, e_total: float, v: np.ndarray | None) -> Bounds
     )
 
 
-def _quadrature_gap(u: np.ndarray, v: np.ndarray, grid: Grid, delta: float, seed, samples: int) -> float:
+def _interior(grid: Grid) -> np.ndarray:
+    """The nodes every field check reads, |x| <= L/2: away from the grid
+    ends, where the truncated tails weigh most."""
+    return np.abs(grid.nodes) <= 0.5 * grid.half_width
+
+
+def _quadrature_gap(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """Max gap between the spectral half-Laplacian v of u and the quadrature
-    split at delta, at `samples` nodes drawn by default_rng(seed) (a Generator
-    is used as is) among those whose quadrature window fits in the grid."""
-    margin = int(math.ceil(delta / grid.spacing)) + 2
-    lo, hi = margin, grid.n - margin
-    if hi <= lo:
-        raise ValueError(f"grid too small for the quadrature window (delta = {delta:.6g})")
-    idx = np.random.default_rng(seed).integers(lo, hi, size=samples)
-    return max(float(abs(apply_quadrature(u, grid, int(i), delta) - v[i])) for i in idx)
+    over the interior."""
+    return float(np.max(np.abs(apply_quadrature(u, grid) - v)[_interior(grid)]))
 
 
 def _gate(key: str, value: float | None, tol: float) -> dict:
     return {key: value, "tol": tol, "passed": value is not None and value <= tol}
 
 
-def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 0) -> dict:
+def verify(p: WallProfile, op: HalfLaplacianOperator | None = None) -> dict:
     """Check a computed wall against the paper's claims and gate each check.
 
     Returns {"passed": all checks passed, "checks": {name: {..., "passed"}}}
@@ -253,8 +251,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
     constant from the integral of u (a null relative_gap, failing, when
     that constant is 0). One energy_and_gradient call gives
     the energy, the gradient and the stray field v, which serves the bounds
-    and the quadrature cross-check at seeded random nodes, split at
-    delta = min(pi/nu, L/2) so that the window fits the grid.
+    and the quadrature cross-check at every interior node, |x| <= L/2.
     When u does not decay at the grid ends, each check that needs the field
     fails with why.
     """
@@ -289,9 +286,7 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None, seed: int = 
         field_checks = ("stray_crosscheck",) + ("far_field",) * (fit is not None)
         checks.update(dict.fromkeys(field_checks, no_field))
     elif nu > 0:
-        u = np.sin(p.theta) - p.params.h
-        delta = min(math.pi / nu, 0.5 * p.grid.half_width)
-        gap = _quadrature_gap(u, v, p.grid, delta, seed, CROSSCHECK_SAMPLES)
+        gap = _quadrature_gap(np.sin(p.theta) - p.params.h, v, p.grid)
         checks["stray_crosscheck"] = _gate("max_discrepancy", gap, VERIFY_CROSSCHECK_TOL)
         if fit is not None:
             pred = far_field_constant(p)
@@ -314,36 +309,29 @@ def _corpus_gate(gaps: dict[str, float]) -> dict:
     return {"gaps": gaps, **_gate("max", float(np.max(list(gaps.values()))), ORACLE_TOL)}
 
 
-def oracle(grid: Grid, seed: int = 0) -> dict:
+def oracle(grid: Grid) -> dict:
     """Cross-validate the spectral half-Laplacian and its pairing on a fixed
     corpus of decaying functions, and gate each check.
 
     Returns {"passed", "checks"} like verify, with the checks
-    operator_equivalence (against the quadrature split at delta = pi, at
-    seeded random nodes, relative to sup|u|), lorentzian_closed_form (sup
-    error on |x| <= L/2) and seminorm_identity (the pairing of u with
+    operator_equivalence (against the quadrature, relative to sup|u|) and
+    lorentzian_closed_form (against (1-x^2)/(1+x^2)^2), each the sup error
+    over the interior |x| <= L/2, and seminorm_identity (the pairing of u with
     itself against the double-integral seminorm, relative); the corpus
     checks keep each function's gap under "gaps" and gate their maximum.
     Each function's spectrum serves its field and its pairing.
     """
     op = make_operator(grid)
-    rng = np.random.default_rng(seed)
-    corpus = _oracle_corpus(grid)
-    stray, seminorm = {}, {}
-    for name, u in corpus:
+    stray, equivalence, seminorm = {}, {}, {}
+    for name, u in _oracle_corpus(grid):
         su = spectrum(op, u)
         stray[name] = apply_spectral(op, su)
+        equivalence[name] = _quadrature_gap(u, stray[name], grid) / float(np.max(np.abs(u)))
         qd = seminorm_double_integral(u, grid)
         seminorm[name] = abs(pairing(op, su, su) - qd) / abs(qd)
-    equivalence = {
-        name: _quadrature_gap(u, stray[name], grid, ORACLE_DELTA, rng, ORACLE_SAMPLES)
-        / float(np.max(np.abs(u)))
-        for name, u in corpus
-    }
     x = grid.nodes
     exact = (1.0 - x**2) / (1.0 + x**2) ** 2
-    interior = np.abs(x) <= 0.5 * grid.half_width
-    closed = float(np.max(np.abs(stray["lorentzian"] - exact)[interior]))
+    closed = float(np.max(np.abs(stray["lorentzian"] - exact)[_interior(grid)]))
     checks = {
         "operator_equivalence": _corpus_gate(equivalence),
         "lorentzian_closed_form": _gate("max", closed, ORACLE_TOL),

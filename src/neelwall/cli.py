@@ -54,13 +54,15 @@ FLAGS = {
     "out_dir": (str, ".", None),
 }
 
-# the keys each command reads; it takes no other flag or config key
+# the keys each command reads; it takes no other flag or config key. verify
+# draws nothing from seed: the key stays accepted while perfbench's certify
+# workload passes --seed to verify (ROADMAP item 6)
 COMMANDS = {
     "solve": tuple(FLAGS),
     "verify": ("seed", "out_dir"),
     "path": ("grad_tol", "out_dir"),
     "sweep": ("n", "half_width", "grad_tol", "max_iter", "init", "out_dir"),
-    "oracle": ("n", "half_width", "seed"),
+    "oracle": ("n", "half_width"),
 }
 
 EXIT_OK = 0
@@ -135,7 +137,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    result = analysis.verify(load_profile(args.profile), seed=args.seed)
+    result = analysis.verify(load_profile(args.profile))
     _write_json_atomic(os.path.join(out, "verify.json"), {"profile": args.profile, **result})
     for name, c in result["checks"].items():
         print(f"{'PASS' if c['passed'] else 'FAIL'} {name}")
@@ -197,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    result = analysis.oracle(make_grid(args.n, args.half_width), seed=args.seed)
+    result = analysis.oracle(make_grid(args.n, args.half_width))
     for key, check in result["checks"].items():
         label = key.replace("_", " ")
         if "gaps" in check:

@@ -34,6 +34,5 @@ class FlatTopError(NeelWallError):
 
 
 class RangeViolationError(NeelWallError):
-    """A path input out of range: a profile off the branch box (theta in
-    [0, pi/2] on x > 0, in [pi/2, pi] on x < 0) or a path parameter t
-    outside [0, 1]."""
+    """A path input off the branch box: theta outside [0, pi/2] on x > 0 or
+    outside [pi/2, pi] on x < 0."""

@@ -13,18 +13,18 @@ and the stray-field form pairing is the Parseval sum of two spectra,
 weighted once per operator; a caller that needs both of one input, like
 the energy kernel, or combines spectra linearly, like the path scan,
 transforms each input once.
-The cross-check is a principal-value singular integral split at a scale
-delta, with the inner part written as a symmetrized second difference
-(removable singularity) and the outer part closed in form beyond the grid
-using the constant extension of the input. The H^(1/2) seminorm oracle for
-the pairing is a double-trapezoid sum of the real-space kernel 1/(x-y)^2,
-evaluated as Toeplitz products in O(n log n); it does not use the padded
-lattice or |k|.
+The cross-check is the principal-value singular integral at every interior
+node: a trapezoid sum of (u(x)-u(y))/(x-y)^2 over the grid, whose removable
+singularity at y = x enters as a symmetrized second difference, and tails
+closed in form beyond the grid using the constant extension of the input.
+The H^(1/2) seminorm oracle for the pairing is a double-trapezoid sum of the
+same real-space kernel 1/(x-y)^2. Both are Toeplitz products, O(n log n),
+and neither uses the padded lattice or |k|.
 
 The module is also the package's one caller of numpy's FFT for the other
 transforms it needs: the orthonormal DST-I of the solver's preconditioner
-(dst), the symmetric Toeplitz product of the seminorm oracle
-(toeplitz_product) and the choice of fast transform lengths
+(dst), the symmetric Toeplitz product of the quadrature and the seminorm
+oracle (toeplitz_product) and the choice of fast transform lengths
 (next_fast_len).
 
 Inputs must decay at the grid ends: pass u = sin(theta) - h, never theta.
@@ -176,51 +176,37 @@ def apply_spectral(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:
     return np.fft.irfft(su * op.kernel, op.embed_len)[: op.grid.n]
 
 
-def apply_quadrature(
-    u: np.ndarray, grid: Grid, x_index: int, delta: float
-) -> float:
-    """Principal-value singular-integral half-Laplacian at one node.
+def _inverse_square_column(grid: Grid) -> np.ndarray:
+    """Column of the Toeplitz matrix K_ij = 1/((i-j)dx)^2, zero diagonal."""
+    column = np.zeros(grid.n)
+    column[1:] = 1.0 / (np.arange(1, grid.n) * grid.spacing) ** 2
+    return column
 
-    (1/pi) [ int_{|x-y|>delta} (u(x)-u(y))/(x-y)^2 dy  +  p.v. inner part ],
-    with the inner part in the symmetrized form
-    (1/pi) int_0^delta (2u(x) - u(x+s) - u(x-s))/s^2 ds
-    (integrand -> -u''(x) as s -> 0) and closed-form tails beyond the grid
-    using the constant extension of u.
+
+def apply_quadrature(u: np.ndarray, grid: Grid) -> np.ndarray:
+    """Principal-value singular-integral half-Laplacian at every node.
+
+    (1/pi) p.v. int (u(x)-u(y))/(x-y)^2 dy by the trapezoid rule in y over
+    the grid, with closed-form tails beyond it using the constant extension
+    of u. The singular point y = x enters through the symmetrized form
+    (2u(x) - u(x+s) - u(x-s))/s^2 -> -u''(x) of the inner part, weighted
+    dx/2 at s = 0. With the trapezoid weights w and the Toeplitz matrix
+    K_ij = 1/((i-j)dx)^2, the sum off the diagonal is u (K w) - K(w u), one
+    toeplitz_product call. The two end nodes, where the tails diverge, are
+    NaN.
     """
     u = np.asarray(u, dtype=float)
     n, dx, L = grid.n, grid.spacing, grid.half_width
     if u.shape != (n,):
         raise ValueError("sample length does not match grid")
-    if not (0.0 < delta < L):
-        raise ValueError(f"delta must lie in (0, half_width) (got {delta})")
-    m = max(1, int(round(delta / dx)))
-    delta = m * dx
-    if x_index - m < 0 or x_index + m > n - 1:
-        raise ValueError("x_index is within delta of the grid boundary")
-    x = grid.nodes
-    xi = x[x_index]
-    ui = u[x_index]
-
-    # inner p.v. part: trapezoid in s over [0, delta], s = j*dx
-    j = np.arange(1, m + 1)
-    inner_vals = (2.0 * ui - u[x_index + j] - u[x_index - j]) / (j * dx) ** 2
-    at_zero = -(u[x_index + 1] - 2.0 * ui + u[x_index - 1]) / dx**2
-    inner = np.concatenate(([at_zero], inner_vals))
-    inner_term = float(np.dot(trapezoid_weights(m + 1, dx), inner))
-
-    # outer part over the grid: trapezoid on y <= x - delta and y >= x + delta
-    def outer_sum(idx: np.ndarray) -> float:
-        vals = (ui - u[idx]) / (xi - x[idx]) ** 2
-        return float(np.dot(trapezoid_weights(len(idx), dx), vals))
-
-    left = np.arange(0, x_index - m + 1)
-    right = np.arange(x_index + m, n)
-    outer_term = outer_sum(left) + outer_sum(right)
-
-    # closed-form tails with constant extension u(+/-inf) = u at the ends
-    tails = (ui - u[-1]) / (L - xi) + (ui - u[0]) / (L + xi)
-
-    return (inner_term + outer_term + tails) / math.pi
+    w = trapezoid_weights(n, dx)
+    k_w, k_wu = toeplitz_product(_inverse_square_column(grid), np.stack((w, w * u)))[:, 1:-1]
+    ui, x = u[1:-1], grid.nodes[1:-1]
+    at_zero = (2.0 * ui - u[2:] - u[:-2]) / (2.0 * dx)
+    tails = (ui - u[-1]) / (L - x) + (ui - u[0]) / (L + x)
+    q = np.full(n, math.nan)
+    q[1:-1] = (ui * k_w - k_wu + at_zero + tails) / math.pi
+    return q
 
 
 def pairing(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
@@ -253,10 +239,8 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     wt = trapezoid_weights(n, dx)
     # diagonal: limit is u'(x)^2
     diagonal = float(np.dot(wt * wt, np.gradient(v, dx) ** 2))
-    kernel = np.zeros(n)
-    kernel[1:] = 1.0 / (np.arange(1, n) * dx) ** 2
     wv = wt * v
-    k_w, k_wv = toeplitz_product(kernel, np.stack((wt, wv)))
+    k_w, k_wv = toeplitz_product(_inverse_square_column(grid), np.stack((wt, wv)))
     off_diagonal = 2.0 * float(np.dot(wv * v, k_w)) - 2.0 * float(np.dot(wv, k_wv))
     core = diagonal + off_diagonal
     # tails: for each x in the window, int over |y| > L of v(x)^2/(x-y)^2 dy

@@ -285,7 +285,7 @@ def test_verify_json_matches_library(tmp_path, nu):
     prof = solve_dir / "profile.txt"
     assert run(["verify", str(prof), "--seed", "3", "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["checks"] == verify(load_profile(prof), seed=3)["checks"]
+    assert report["checks"] == verify(load_profile(prof))["checks"]
     assert report["profile"] == str(prof)
 
 
@@ -437,6 +437,15 @@ def test_oracle(capsys):
     assert "oracle: PASS" in capsys.readouterr().out
 
 
+def test_oracle_fails_the_lorentzian_at_n_1025(capsys):
+    # checked at every interior node, the Lorentzian's operator gap peaks at
+    # x = 0 at 1.23e-4, over the 1e-4 gate; a sample of nodes had read 7.3e-5
+    assert run(["oracle", "--n", "1025", "--half-width", "40"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    over = [name for name, _, gap in (ln.rpartition(": ") for ln in lines[:-1]) if float(gap) > 1e-4]
+    assert over == ["operator equivalence [lorentzian]"] and lines[-1] == "oracle: FAIL"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -446,6 +455,8 @@ def test_oracle(capsys):
         ["sweep", "--nu", "2"],
         ["verify", "profile.txt", "--nu", "2"],
         ["path", "a.txt", "b.txt", "--n", "257"],
+        # the oracle checks every interior node of a fixed corpus: it draws nothing
+        ["oracle", "--seed", "0"],
     ],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
@@ -457,8 +468,9 @@ def test_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, monkeyp
 
 
 def test_oracle_grid_too_small(capsys):
-    assert run(["oracle", "--n", "17", "--half-width", "1"]) == 1
-    assert "quadrature window" in capsys.readouterr().err
+    # every check runs on so coarse a grid, and its gaps fail the gates
+    assert run(["oracle", "--n", "17", "--half-width", "1"]) == 3
+    assert capsys.readouterr().out.endswith("oracle: FAIL\n")
 
 
 def test_config_precedence(tmp_path):
@@ -480,6 +492,8 @@ def test_config_unknown_key(solved_dir, tmp_path):
     # a key of another command: verify reads nu from the profile header
     cfg.write_text("nu = 2\n")
     assert run(["verify", str(solved_dir / "profile.txt"), "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    cfg.write_text("seed = 0\n")
+    assert run(["oracle", "--n", "257", "--config", str(cfg)]) == 1
 
 
 @pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "init = bogus")])
@@ -497,7 +511,7 @@ def test_config_sets_the_keys_of_verify(solved_dir, tmp_path):
     prof = solved_dir / "profile.txt"
     assert run(["verify", str(prof), "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert report["checks"] == verify(load_profile(prof), seed=3)["checks"]
+    assert report["checks"] == verify(load_profile(prof))["checks"]
 
 
 def test_readme_lists_each_commands_flags_and_config_keys():
@@ -543,7 +557,6 @@ SEED_READERS = {
     "solve_perturbed": ["solve", *SOLUTION, "--init", "perturbed"],
     "verify_nu0": ["verify", "nu0.txt"],
     "verify_nu1": ["verify", "nu1.txt"],
-    "oracle": ["oracle", *SOLUTION],
 }
 
 
@@ -551,8 +564,7 @@ SEED_READERS = {
 @pytest.mark.parametrize("case", list(SEED_READERS))
 def test_a_negative_seed_exits_1_naming_seed(case, source, start_profiles, tmp_path, capsys):
     argv = [str(start_profiles / a) if a.endswith(".txt") else a for a in SEED_READERS[case]]
-    if case != "oracle":
-        argv += ["--out-dir", str(tmp_path / "out")]
+    argv += ["--out-dir", str(tmp_path / "out")]
     if source == "flag":
         argv += ["--seed", "-1"]
     else:

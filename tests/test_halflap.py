@@ -47,26 +47,45 @@ def test_lorentzian_closed_form(fine):
     assert err <= 2e-5
 
 
-def test_quadrature_matches_spectral(fine, rng):
+def test_quadrature_matches_spectral(fine):
     grid, op = fine
     x = grid.nodes
-    delta = math.pi
-    margin = int(math.ceil(delta / grid.spacing)) + 2
+    interior = np.abs(x) <= 0.5 * grid.half_width
     for u in (1.0 / (1.0 + x**2), np.exp(-0.5 * x**2)):
         v = apply_spectral(op, spectrum(op, u))
-        idx = rng.integers(margin, grid.n - margin, size=8)
-        for i in idx:
-            q = apply_quadrature(u, grid, int(i), delta)
-            assert abs(q - v[i]) <= 1e-4 * np.max(np.abs(u))
+        gap = np.abs(apply_quadrature(u, grid) - v)[interior]
+        assert np.max(gap) <= 1e-4 * np.max(np.abs(u))
+
+
+def test_quadrature_is_the_dense_trapezoid_sum():
+    # the singular integral taken node by node: the trapezoid sum of
+    # (u(x) - u(y))/(x - y)^2 over y != x, -u''(x) dx/2 for the singular
+    # point, and the tails of the constant extension beyond the grid
+    grid = make_grid(257, 20.0)
+    x, dx, L = grid.nodes, grid.spacing, grid.half_width
+    w = trapezoid_weights(grid.n, dx)
+    for u in (1.0 / (1.0 + x**2), np.sin(2.0 * np.arctan(np.exp(-x)))):
+        dense = np.full(grid.n, math.nan)
+        for i in range(1, grid.n - 1):
+            off = np.arange(grid.n) != i
+            s = np.sum(w[off] * (u[i] - u[off]) / (x[i] - x[off]) ** 2)
+            s += 0.5 * dx * (2.0 * u[i] - u[i + 1] - u[i - 1]) / dx**2
+            s += (u[i] - u[-1]) / (L - x[i]) + (u[i] - u[0]) / (L + x[i])
+            dense[i] = s / math.pi
+        q = apply_quadrature(u, grid)
+        assert np.max(np.abs(q - dense)[1:-1]) <= 1e-13 * np.max(np.abs(dense[1:-1]))
 
 
 def test_quadrature_rejects_boundary_nodes(fine):
+    # the tails diverge at x = +/-L: the end nodes are NaN, and nothing
+    # divides by L - x = 0
     grid, _ = fine
     u = np.exp(-0.5 * grid.nodes**2)
+    with np.errstate(divide="raise", invalid="raise"):
+        q = apply_quadrature(u, grid)
+    assert np.isnan(q[[0, -1]]).all() and np.isfinite(q[1:-1]).all()
     with pytest.raises(ValueError):
-        apply_quadrature(u, grid, 2, math.pi)
-    with pytest.raises(ValueError):
-        apply_quadrature(u, grid, grid.n - 1, math.pi)
+        apply_quadrature(u[:-1], grid)
 
 
 def test_pairing_exactly_symmetric(fine, rng):
