@@ -492,8 +492,14 @@ def test_config_unknown_key(solved_dir, tmp_path):
     # a key of another command: verify reads nu from the profile header
     cfg.write_text("nu = 2\n")
     assert run(["verify", str(solved_dir / "profile.txt"), "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+
+
+def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):
+    # the oracle checks every interior node of a fixed corpus: it reads no seed
+    cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed = 0\n")
     assert run(["oracle", "--n", "257", "--config", str(cfg)]) == 1
+    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "init = bogus")])
