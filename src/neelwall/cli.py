@@ -60,7 +60,7 @@ FLAGS = {
 COMMANDS = {
     "solve": tuple(FLAGS),
     "verify": ("seed", "out_dir"),
-    "path": ("grad_tol", "out_dir"),
+    "path": ("out_dir",),
     "sweep": ("n", "half_width", "grad_tol", "max_iter", "init", "out_dir"),
     "oracle": ("n", "half_width"),
 }
@@ -118,10 +118,11 @@ def _options(args: argparse.Namespace) -> solver.SolveOptions:
 def cmd_solve(args: argparse.Namespace) -> int:
     params = make_params(args.nu, args.h)
     grid = make_grid(args.n, args.half_width)
+    opts = _options(args)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     p0 = make_initial_profile(grid, params, kind=args.init, seed=args.seed)
-    p, report = solver.minimize(p0, _options(args))
+    p, report = solver.minimize(p0, opts)
     prof_path = os.path.join(out, "profile.txt")
     save_profile(prof_path, p)
     _write_json_atomic(os.path.join(out, "energy.json"), vars(report.final_energy))
@@ -135,9 +136,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    result = analysis.verify(load_profile(args.profile))
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    result = analysis.verify(load_profile(args.profile))
     _write_json_atomic(os.path.join(out, "verify.json"), {"profile": args.profile, **result})
     for name, c in result["checks"].items():
         print(f"{'PASS' if c['passed'] else 'FAIL'} {name}")
@@ -145,11 +146,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     p1 = recenter(load_profile(args.profile_a))
     p2 = recenter(load_profile(args.profile_b))
-    verdict = pathmod.uniqueness_certificate(p1, p2, grad_tol=args.grad_tol)
+    verdict = pathmod.uniqueness_certificate(p1, p2)
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
     header = [f.name for f in fields(pathmod.PathPoint)]
     _write_csv_atomic(os.path.join(out, "path.csv"), header, (vars(pt).values() for pt in verdict.points))
     _write_json_atomic(
@@ -180,9 +181,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     hs = _parse_list("--h-list", args.h_list)
     params_list = [make_params(nu, h) for nu in nus for h in hs]
     grid = make_grid(args.n, args.half_width)
+    opts = _options(args)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    rows = solver.sweep(params_list, grid, _options(args), init=args.init)
+    rows = solver.sweep(params_list, grid, opts, init=args.init)
     parts = [f.name for f in fields(EnergyBreakdown)]
     raised = dict.fromkeys(parts, math.nan)  # the energy of a row whose solve raised
     table = (

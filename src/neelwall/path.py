@@ -13,8 +13,11 @@ is convex on [0, 1]^2, the potential has modulus dx and the stray pairing
 is positive semidefinite. So B holds at most one critical point s*, and a
 profile with gradient g lies within r = ||g / cos theta||_2 / sqrt(dx) of
 it in L^2 (||v||_L2 = sqrt(dx) ||v||_2), the radius the certificate uses.
-A profile is a solution when sup|g|/dx <= grad_tol (energy.grad_norm), the
-test a solve stops on; the slope f' at its end of the path is no such test.
+That holds for every profile in B, solution or not, so no pair in B lies
+farther apart than the sum of its radii. A profile is a solution when
+sup|g|/dx <= GRAD_TOL (energy.grad_norm), the test a solve stops on and
+verify gates as el_residual; the slope f' at its end of the path is no
+such test.
 
 A scan follows the path's definition: each t takes one arcsin, and cos
 theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
@@ -35,7 +38,6 @@ from .energy import GRAD_TOL, energy_and_gradient, energy_parts, grad_norm
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
 from .halflap import HalfLaplacianOperator, make_operator, pairing, spectrum
 from .model import Grid, WallProfile, trapezoid_weights
-from .solver import SolveOptions
 
 __all__ = [
     "PathPoint",
@@ -69,7 +71,6 @@ class CertificateVerdict:
     max_grad_2: float
     radius_1: float
     radius_2: float
-    identical_inputs: bool
     points: list[PathPoint] = field(default_factory=list, repr=False, compare=False)
 
 
@@ -203,28 +204,24 @@ def uniqueness_certificate(
     p1: WallProfile,
     p2: WallProfile,
     op: HalfLaplacianOperator | None = None,
-    grad_tol: float = GRAD_TOL,
 ) -> CertificateVerdict:
     """Convexity-based coincidence test for two candidate solutions in B.
 
-    A profile is a solution when sup|g|/dx <= grad_tol, the test a solve
-    stops on; either failing it (NaN included) reads NOT_BOTH_SOLUTIONS.
-    Two solutions at L^2 distance d in s COINCIDE when d <= r_1 + r_2, and
-    read CONTRADICTION otherwise, which the convexity in s forbids: it
-    flags an implementation fault, not a counterexample. Identical inputs
-    coincide. The verdict keeps the 41-point scan of the path in points.
+    A profile is a solution when sup|g|/dx <= GRAD_TOL, the test a solve
+    stops on and verify gates as el_residual; either failing it (NaN
+    included) reads NOT_BOTH_SOLUTIONS, identical inputs too. Two solutions
+    at L^2 distance d in s COINCIDE when d <= r_1 + r_2, and read
+    CONTRADICTION otherwise, which the convexity in s forbids: it flags an
+    implementation fault, not a counterexample. The verdict keeps the
+    41-point scan of the path in points.
     """
-    SolveOptions(grad_tol=grad_tol)  # the solver's own check of grad_tol
     op = op or make_operator(p1.grid)
     points = path_scan(p1, p2, op=op)  # checks the pair
-    identical = bool(np.array_equal(p1.theta, p2.theta))
     grad_1, radius_1 = _solution_measures(p1, op)
     grad_2, radius_2 = _solution_measures(p2, op)
     ds = np.sin(p1.theta) - np.sin(p2.theta)
     distance = math.sqrt(p1.grid.spacing) * float(np.linalg.norm(ds))
-    if identical:
-        verdict = "COINCIDE"
-    elif not (grad_1 <= grad_tol and grad_2 <= grad_tol):
+    if not (grad_1 <= GRAD_TOL and grad_2 <= GRAD_TOL):
         verdict = "NOT_BOTH_SOLUTIONS"
     elif distance <= radius_1 + radius_2:
         verdict = "COINCIDE"
@@ -238,6 +235,5 @@ def uniqueness_certificate(
         max_grad_2=grad_2,
         radius_1=radius_1,
         radius_2=radius_2,
-        identical_inputs=identical,
         points=points,
     )

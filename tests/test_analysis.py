@@ -210,9 +210,9 @@ def test_stray_crosscheck_small(solved, operators):
 
 
 @pytest.mark.parametrize("n, half_width", [(257, 20.0), (1025, 40.0)])
-def test_stray_crosscheck_fits_the_grid_at_small_nu(n, half_width, solved):
+def test_stray_crosscheck_passes_on_the_weak_tail_of_small_nu(n, half_width, solved):
     # a converged solve at small nu, whose weak tail reaches the grid ends,
-    # passes the cross-check at every interior node, |x| <= L/2
+    # passes the cross-check at every node with |x| <= L/2
     p, report = solved(0.05, 0.0, n=n, half_width=half_width)
     assert report.converged
     check = verify(p)["checks"]["stray_crosscheck"]

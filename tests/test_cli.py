@@ -1,5 +1,4 @@
 import argparse
-import inspect
 import json
 import math
 import os
@@ -116,10 +115,12 @@ def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path):
 
 
 def test_every_solution_test_reads_the_one_tolerance(solved_dir):
-    certificate_default = inspect.signature(uniqueness_certificate).parameters["grad_tol"].default
+    # solve takes grad_tol as an option; verify and path test a profile at
+    # GRAD_TOL and read no grad_tol
     el_residual = verify(load_profile(solved_dir / "profile.txt"))["checks"]["el_residual"]
     assert cli.FLAGS["grad_tol"][1] == solver.SolveOptions().grad_tol == GRAD_TOL
-    assert certificate_default == el_residual["tol"] == GRAD_TOL
+    assert el_residual["tol"] == GRAD_TOL
+    assert "grad_tol" not in cli.COMMANDS["verify"] and "grad_tol" not in cli.COMMANDS["path"]
     assert cli.FLAGS["max_iter"][1] == solver.SolveOptions().max_iter
 
 
@@ -238,8 +239,12 @@ def test_path_rejects_a_flat_topped_profile(tmp_path):
     assert run(["path", str(tmp_path / "flat.txt"), str(tmp_path / "kink.txt"), "--out-dir", str(tmp_path)]) == 1
 
 
-def test_verify_missing_file(tmp_path):
-    assert run(["verify", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 1
+def test_verify_missing_file(solved_dir, tmp_path):
+    # the profiles are read before the output directory is made
+    out, nope = tmp_path / "out", str(tmp_path / "nope.txt")
+    assert run(["verify", nope, "--out-dir", str(out)]) == 1
+    assert run(["path", nope, str(solved_dir / "profile.txt"), "--out-dir", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_profile_header_missing_a_key_exits_1(solved_dir, tmp_path):
@@ -349,30 +354,29 @@ def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
     code = run(
         ["solve", "--nu", "1", "--h", "0.3", "--init", "perturbed", "--seed", "7"]
         + ["--out-dir", str(out2)]
-        + FAST
+        + SOLUTION
     )
     assert code == 0
-    code = run(
-        [
-            "path",
-            str(solved_dir / "profile.txt"),
-            str(out2 / "profile.txt"),
-            "--out-dir",
-            str(tmp_path),
-            "--grad-tol",
-            "1e-5",
-        ]
-    )
+    code = run(["path", str(solved_dir / "profile.txt"), str(out2 / "profile.txt"), "--out-dir", str(tmp_path)])
     assert code == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] == "COINCIDE"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_path_with_a_grad_tol_that_is_not_positive_and_finite_exits_1(tol, solved_dir, tmp_path, capsys):
-    prof = str(solved_dir / "profile.txt")
-    assert run(["path", prof, prof, "--grad-tol", tol, "--out-dir", str(tmp_path)]) == 1
+def test_solve_with_a_grad_tol_that_is_not_positive_and_finite_exits_1(tol, tmp_path, capsys):
+    # the options are checked before the output directory is made
+    out = tmp_path / "out"
+    assert run(["solve", *SOLUTION, "--grad-tol", tol, "--out-dir", str(out)]) == 1
     assert "grad_tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_a_max_iter_of_0_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["sweep", *SOLUTION, "--max-iter", "0", "--out-dir", str(out)]) == 1
+    assert "max_iter must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_path_rejects_a_profile_outside_the_branch_box(solved_dir, tmp_path, capsys):
@@ -455,6 +459,8 @@ def test_oracle_fails_the_lorentzian_at_n_1025(capsys):
         ["sweep", "--nu", "2"],
         ["verify", "profile.txt", "--nu", "2"],
         ["path", "a.txt", "b.txt", "--n", "257"],
+        # a profile is a solution at energy.GRAD_TOL, the one tolerance verify gates
+        ["path", "a.txt", "b.txt", "--grad-tol", "1e-5"],
         # the oracle checks every interior node of a fixed corpus: it draws nothing
         ["oracle", "--seed", "0"],
     ],
@@ -492,6 +498,11 @@ def test_config_unknown_key(solved_dir, tmp_path):
     # a key of another command: verify reads nu from the profile header
     cfg.write_text("nu = 2\n")
     assert run(["verify", str(solved_dir / "profile.txt"), "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    # path tests both profiles at energy.GRAD_TOL and reads no grad_tol
+    cfg.write_text("grad_tol = 1e-5\n")
+    prof = str(solved_dir / "profile.txt")
+    assert run(["path", prof, prof, "--config", str(cfg), "--out-dir", str(tmp_path / "p")]) == 1
+    assert not (tmp_path / "p").exists()
 
 
 def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):

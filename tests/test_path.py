@@ -158,12 +158,15 @@ def test_scan_degenerate_pair(pair, operators):
         assert abs(pt.f_second_analytic) <= 1e-12
 
 
-def test_certificate_identical_inputs(pair, operators):
-    p1, _ = pair
+def test_certificate_identical_inputs(pair, solved, operators):
+    # identical inputs take the two rules of any pair: a solution with itself
+    # coincides at distance 0, a kink with itself is no solution
+    p, _ = solved(1.0, 0.3)
+    kink, _ = pair
     _, op = operators()
-    v = uniqueness_certificate(p1, p1, op=op)
-    assert v.verdict == "COINCIDE"
-    assert v.identical_inputs
+    v = uniqueness_certificate(p, p, op=op)
+    assert v.verdict == "COINCIDE" and v.s_distance == 0.0
+    assert uniqueness_certificate(kink, kink, op=op).verdict == "NOT_BOTH_SOLUTIONS"
 
 
 def test_certificate_rejects_non_solution_pair(solved, operators):
@@ -261,18 +264,56 @@ def test_arcsin_distance_is_convex_on_the_unit_square(rng):
     assert np.max(np.abs(det - (phi_aa * phi_bb - phi_ab**2)) / scale) <= 1e-10
 
 
-@pytest.mark.parametrize("which", ["solutions", "kinks"])
-def test_scan_second_derivative_is_at_least_the_convexity_modulus(which, solution_pair, operators):
+def _pairs_in_the_box(solved, rng):
+    """72 pairs about the (257, 20) solves theta* at (nu, h) in {0, 1, 4} x
+    {0, 0.5}: four pairs theta* + eps b_1, theta* + eps b_2 for each eps in
+    {1e-6, 1e-3, 1e-1}, with b = sum_j a_j sin(j pi x / L) exp(-x^2 / 8),
+    j = 1..4 and a_j ~ U(-1, 1), clipped into B with the ends and the center
+    of theta* restored."""
+    pairs = []
+    for nu in (0.0, 1.0, 4.0):
+        for h in (0.0, 0.5):
+            p, _ = solved(nu, h, n=257, half_width=20.0)
+            x, c, half_width = p.grid.nodes, p.grid.center_index, p.grid.half_width
+            lo = np.where(x > 0.0, 0.0, math.pi / 2.0)
+            modes = np.sin(np.outer(np.arange(1, 5), math.pi * x / half_width)) * np.exp(-x * x / 8.0)
+            for eps in (1e-6, 1e-3, 1e-1):
+                profiles = []
+                for _ in range(8):
+                    theta = np.clip(p.theta + eps * (rng.uniform(-1.0, 1.0, 4) @ modes), lo, lo + math.pi / 2.0)
+                    theta[[0, c, -1]] = p.theta[[0, c, -1]]
+                    profiles.append(p.with_theta(theta))
+                pairs += zip(profiles[::2], profiles[1::2])
+    return pairs
+
+
+@pytest.mark.parametrize("which", ["solutions", "kinks", "in_the_box"])
+def test_scan_second_derivative_is_at_least_the_convexity_modulus(which, solution_pair, solved, operators, rng):
     # the exchange term is convex in s, so f'' is at least the potential's
-    # and the stray term's part: sum w ds^2 + (nu/2) pairing(ds, ds)
-    p1, p2 = solution_pair if which == "solutions" else _kink_pair(1.0)
-    _, op = operators()
-    ds = np.sin(p1.theta) - np.sin(p2.theta)
-    w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
-    sd = spectrum(op, ds)
-    lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, sd, sd)
-    assert lower > 0.0
-    assert all(pt.f_second_analytic >= lower for pt in path_scan(p1, p2, op=op))
+    # and the stray term's part: sum w ds^2 + (nu/2) pairing(ds, ds). With
+    # the potential's modulus dx this puts every profile of B, solution or
+    # not, within its radius of the one critical point, so no pair in B reads
+    # CONTRADICTION. Over the 72 pairs in the box: min f''/lower 1.15, max
+    # d/(r_1 + r_2) 0.70, 14 COINCIDE and 58 NOT_BOTH_SOLUTIONS
+    if which == "in_the_box":
+        pairs = _pairs_in_the_box(solved, rng)
+    else:
+        pairs = [solution_pair if which == "solutions" else _kink_pair(1.0)]
+    verdicts = set()
+    for p1, p2 in pairs:
+        _, op = operators(p1.grid.n, p1.grid.half_width)
+        ds = np.sin(p1.theta) - np.sin(p2.theta)
+        w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
+        sd = spectrum(op, ds)
+        lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, sd, sd)
+        v = uniqueness_certificate(p1, p2, op=op)
+        assert lower > 0.0
+        assert all(pt.f_second_analytic >= lower for pt in v.points)
+        assert v.s_distance <= v.radius_1 + v.radius_2
+        verdicts.add(v.verdict)
+    assert "CONTRADICTION" not in verdicts
+    if which == "in_the_box":
+        assert verdicts == {"COINCIDE", "NOT_BOTH_SOLUTIONS"}
 
 
 @pytest.mark.parametrize("nu, h", [(0.5, 0.0), (1.0, 0.25), (4.0, 0.75)])

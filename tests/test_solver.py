@@ -266,3 +266,18 @@ def test_an_evaluation_that_meets_the_tolerance_ends_the_solve():
     p0 = make_initial_profile(grid, make_params(0.0, 0.5), kind="perturbed")
     _, report = minimize(p0)
     assert report.converged
+
+
+@pytest.mark.parametrize("h", [0.0, 0.5])
+def test_the_energy_difference_in_nu_lies_between_the_stray_parts(h, solved):
+    # nu enters E only as nu B(theta), B = stray / nu, so at exact minimizers
+    # of nu_1 < nu_2: B(nu_2) <= (E_2 - E_1) / (nu_2 - nu_1) <= B(nu_1).
+    # Margins (lower/upper) read 6.06e-5/6.07e-5 at h = 0 and 1.34e-5/1.34e-5
+    # at h = 0.5, the same at grad_tol 1e-10; a gradient that applies the
+    # stray force as 0.55 nu, E unchanged, breaks the upper side by 8.4e-4
+    # and 2.7e-4
+    (nu_1, e_1), (nu_2, e_2) = [
+        (nu, solved(nu, h, n=257, half_width=20.0)[1].final_energy) for nu in (1.0, 1.01)
+    ]
+    slope = (e_2.total - e_1.total) / (nu_2 - nu_1)
+    assert e_2.stray / nu_2 < slope < e_1.stray / nu_1
