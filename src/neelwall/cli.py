@@ -61,7 +61,7 @@ COMMANDS = {
     "solve": tuple(FLAGS),
     "verify": ("seed", "out_dir"),
     "path": ("out_dir",),
-    "sweep": ("n", "half_width", "grad_tol", "max_iter", "init", "out_dir"),
+    "sweep": ("n", "half_width", "grad_tol", "max_iter", "out_dir"),
     "oracle": ("n", "half_width"),
 }
 
@@ -184,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _options(args)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    rows = solver.sweep(params_list, grid, opts, init=args.init)
+    rows = solver.sweep(params_list, grid, opts)
     parts = [f.name for f in fields(EnergyBreakdown)]
     raised = dict.fromkeys(parts, math.nan)  # the energy of a row whose solve raised
     table = (

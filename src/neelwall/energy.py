@@ -13,9 +13,11 @@ Dirichlet-frozen): it computes u and cos theta once, takes the spectrum of
 u once and from it the stray energy (pairing) and the stray field v
 (apply_spectral), one rfft and one irfft in all, applies the local and
 stray forces as one product cos theta (u + (nu/2) v), and returns v with
-the energy and gradient, so verify reads all three from one call. The
-exact gradient guarantees monotone descent and exact stationarity at
-discrete minimizers. grad_norm, sup|g|/dx, is the one measure of
+the energy and gradient, so verify reads all three from one call. Its two
+halves, energy_parts and gradient, take u and the stray part or field, so
+the uniqueness certificate builds a gradient from the spectrum its path
+scan has already taken. The exact gradient guarantees monotone descent and
+exact stationarity at discrete minimizers. grad_norm, sup|g|/dx, is the one measure of
 stationarity and GRAD_TOL its one default tolerance: the solver stops on
 it, the uniqueness certificate reads it and verify gates it as el_residual.
 """
@@ -33,6 +35,7 @@ __all__ = [
     "energy_and_gradient",
     "energy_parts",
     "grad_norm",
+    "gradient",
 ]
 
 # a profile is a solution when grad_norm <= GRAD_TOL
@@ -54,6 +57,21 @@ def energy_and_gradient(
     h, nu = p.params.h, p.params.nu
     u = np.sin(theta)
     u -= h
+    stray, field = 0.0, None
+    if nu > 0:
+        su = spectrum(op, u)
+        stray = 0.25 * nu * pairing(op, su, su)
+        field = apply_spectral(op, su)
+    return energy_parts(theta, u, dx, stray), gradient(theta, u, dx, nu, field), field
+
+
+def gradient(
+    theta: np.ndarray, u: np.ndarray, dx: float, nu: float, field: np.ndarray | None
+) -> np.ndarray:
+    """The exact gradient of the discrete energy of theta, u = sin theta - h,
+    with respect to the interior node values, full length with zeros at the
+    frozen boundary nodes, given the stray field, the half-Laplacian of u
+    (None at nu = 0)."""
     g = np.zeros_like(theta)
     inner = g[1:-1]
     np.multiply(theta[1:-1], 2.0, out=inner)
@@ -61,19 +79,15 @@ def energy_and_gradient(
     inner -= theta[:-2]
     inner /= dx
     # local and stray forces in one product: cos theta (u + nu/2 T v)
-    stray, field = 0.0, None
-    if nu > 0:
-        su = spectrum(op, u)
-        stray = 0.25 * nu * pairing(op, su, su)
-        field = apply_spectral(op, su)
+    if field is None:
+        force = np.cos(theta[1:-1]) * u[1:-1]
+    else:
         force = field[1:-1] * (0.5 * nu)
         force += u[1:-1]
         force *= np.cos(theta[1:-1])
-    else:
-        force = np.cos(theta[1:-1]) * u[1:-1]
     force *= dx
     inner += force
-    return energy_parts(theta, u, dx, stray), g, field
+    return g
 
 
 def grad_norm(g: np.ndarray, dx: float) -> float:

@@ -183,8 +183,28 @@ def _inverse_square_column(grid: Grid) -> np.ndarray:
     return column
 
 
+def _products_with_weights(grid: Grid, w: np.ndarray, wu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K w and K (wu) along the last axis, for the Toeplitz matrix
+    K_ij = 1/((i-j)dx)^2 and inputs wu of shape (..., n): one
+    toeplitz_product call, whose rows are transformed one by one, so each
+    row of a stacked wu gets what it gets alone."""
+    rows = np.concatenate((w[None], wu.reshape(-1, grid.n)))
+    k = toeplitz_product(_inverse_square_column(grid), rows)
+    return k[0], k[1:].reshape(wu.shape)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, one np.dot per row (a 1-D pair gives a
+    0-d array), so a stacked input sums each row as it sums alone."""
+    a, b = np.broadcast_arrays(a, b)
+    n = a.shape[-1]
+    dots = [np.dot(x, y) for x, y in zip(a.reshape(-1, n), b.reshape(-1, n))]
+    return np.array(dots).reshape(a.shape[:-1])
+
+
 def apply_quadrature(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Principal-value singular-integral half-Laplacian at every node.
+    """Principal-value singular-integral half-Laplacian at every node, along
+    the last axis of u, of shape (..., n).
 
     (1/pi) p.v. int (u(x)-u(y))/(x-y)^2 dy by the trapezoid rule in y over
     the grid, with closed-form tails beyond it using the constant extension
@@ -192,20 +212,20 @@ def apply_quadrature(u: np.ndarray, grid: Grid) -> np.ndarray:
     (2u(x) - u(x+s) - u(x-s))/s^2 -> -u''(x) of the inner part, weighted
     dx/2 at s = 0. With the trapezoid weights w and the Toeplitz matrix
     K_ij = 1/((i-j)dx)^2, the sum off the diagonal is u (K w) - K(w u), one
-    toeplitz_product call. The two end nodes, where the tails diverge, are
-    NaN.
+    toeplitz_product call for every row. The two end nodes, where the tails
+    diverge, are NaN.
     """
     u = np.asarray(u, dtype=float)
     n, dx, L = grid.n, grid.spacing, grid.half_width
-    if u.shape != (n,):
+    if u.shape[-1:] != (n,):
         raise ValueError("sample length does not match grid")
     w = trapezoid_weights(n, dx)
-    k_w, k_wu = toeplitz_product(_inverse_square_column(grid), np.stack((w, w * u)))[:, 1:-1]
-    ui, x = u[1:-1], grid.nodes[1:-1]
-    at_zero = (2.0 * ui - u[2:] - u[:-2]) / (2.0 * dx)
-    tails = (ui - u[-1]) / (L - x) + (ui - u[0]) / (L + x)
-    q = np.full(n, math.nan)
-    q[1:-1] = (ui * k_w - k_wu + at_zero + tails) / math.pi
+    k_w, k_wu = _products_with_weights(grid, w, w * u)
+    ui, x = u[..., 1:-1], grid.nodes[1:-1]
+    at_zero = (2.0 * ui - u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    tails = (ui - u[..., -1:]) / (L - x) + (ui - u[..., :1]) / (L + x)
+    q = np.full(u.shape, math.nan)
+    q[..., 1:-1] = (ui * k_w[1:-1] - k_wu[..., 1:-1] + at_zero + tails) / math.pi
     return q
 
 
@@ -219,8 +239,9 @@ def pairing(op: HalfLaplacianOperator, su: np.ndarray, sw: np.ndarray) -> float:
     return float(op.weights @ (su.real * sw.real) + op.weights @ (su.imag * sw.imag))
 
 
-def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
-    """Independent H^(1/2) seminorm oracle.
+def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Independent H^(1/2) seminorm oracle: a float for u of shape (n,), an
+    array of shape (...) for u of shape (..., n).
 
     (1/2pi) iint (u(x)-u(y))^2 / (x-y)^2 dx dy by double trapezoid
     quadrature in real space: kernel 1/(x-y)^2 off the diagonal, u'(x)^2 on
@@ -229,22 +250,24 @@ def seminorm_double_integral(u: np.ndarray, grid: Grid) -> float:
     corner terms vanish for the zero extension). With weights w and the
     symmetric Toeplitz matrix K_ij = 1/((i-j)dx)^2 (zero diagonal), the
     off-diagonal part of the sum is 2 w.(v^2 Kw) - 2 (wv).(K(wv)); both
-    Toeplitz products come from one toeplitz_product call, O(n log n). The
-    padded lattice and its |k| are not used.
+    Toeplitz products, for every row, come from one toeplitz_product call,
+    O(n log n), its own and not apply_quadrature's. The padded lattice and
+    its |k| are not used.
     """
     u = np.asarray(u, dtype=float)
     n, dx, L = grid.n, grid.spacing, grid.half_width
     x = grid.nodes
-    v = u - 0.5 * (u[0] + u[-1])
+    v = u - 0.5 * (u[..., :1] + u[..., -1:])
     wt = trapezoid_weights(n, dx)
     # diagonal: limit is u'(x)^2
-    diagonal = float(np.dot(wt * wt, np.gradient(v, dx) ** 2))
+    diagonal = _row_dot(wt * wt, np.gradient(v, dx, axis=-1) ** 2)
     wv = wt * v
-    k_w, k_wv = toeplitz_product(_inverse_square_column(grid), np.stack((wt, wv)))
-    off_diagonal = 2.0 * float(np.dot(wv * v, k_w)) - 2.0 * float(np.dot(wv, k_wv))
+    k_w, k_wv = _products_with_weights(grid, wt, wv)
+    off_diagonal = 2.0 * _row_dot(wv * v, k_w) - 2.0 * _row_dot(wv, k_wv)
     core = diagonal + off_diagonal
     # tails: for each x in the window, int over |y| > L of v(x)^2/(x-y)^2 dy
     tail_density = v**2 * (1.0 / (L - x + 0.5 * dx) + 1.0 / (L + x + 0.5 * dx))
     # shift ends by dx/2 to avoid the double-counted corner at x = +/-L
-    tails = float(np.dot(wt, tail_density))
-    return (core + 2.0 * tails) / (2.0 * math.pi)
+    tails = _row_dot(wt, tail_density)
+    seminorm = (core + 2.0 * tails) / (2.0 * math.pi)
+    return float(seminorm) if seminorm.ndim == 0 else seminorm

@@ -24,7 +24,8 @@ theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
 s - h = t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic
 in t whose coefficients come from three real FFTs for the whole scan: the
 spectra of u_1, u_2 and du = u_1 - u_2. At t = 0 and 1, f is the energy of
-the input profile itself, bit for bit.
+the input profile itself, bit for bit. The certificate builds each
+profile's gradient from the scan's spectrum of its u, one irfft each.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import GRAD_TOL, energy_and_gradient, energy_parts, grad_norm
+from .energy import GRAD_TOL, energy_parts, grad_norm, gradient
 from .errors import FlatTopError, NotRecentredError, RangeViolationError
-from .halflap import HalfLaplacianOperator, make_operator, pairing, spectrum
+from .halflap import HalfLaplacianOperator, apply_spectral, make_operator, pairing, spectrum
 from .model import Grid, WallProfile, trapezoid_weights
 
 __all__ = [
@@ -133,6 +134,14 @@ def path_scan(
     differentiating the discrete energy in t, so the two agree to roundoff.
     Raises ValueError when op was built for another grid.
     """
+    return _scan(p1, p2, op)[0]
+
+
+def _scan(
+    p1: WallProfile, p2: WallProfile, op: HalfLaplacianOperator | None
+) -> tuple[list[PathPoint], tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
+    """path_scan's points, with u = sin theta - h of p1 and p2 and their
+    spectra (None at nu = 0)."""
     _require_pair(p1, p2)
     ts = np.linspace(0.0, 1.0, T_POINTS)
     op = op or make_operator(p1.grid)
@@ -146,6 +155,7 @@ def path_scan(
     w = trapezoid_weights(grid.n, dx)
     pot_pp = float(np.dot(w, du * du))
     q11 = q22 = q2d = qdd = 0.0
+    s1 = s2 = None
     if nu > 0:
         s1, s2, sd = (spectrum(op, u) for u in (u1, u2, du))
         pairs = ((s1, s1), (s2, s2), (s2, sd), (sd, sd))
@@ -184,17 +194,22 @@ def path_scan(
     fd = np.full(T_POINTS, math.nan)
     step = ts[1]
     fd[2:-2] = (-fs[:-4] + 16.0 * fs[1:-3] - 30.0 * fs[2:-2] + 16.0 * fs[3:-1] - fs[4:]) / (12.0 * step**2)
-    return [
+    points = [
         PathPoint(float(t), f, f_p, float(f_fd), f_pp)
         for t, (f, f_p, f_pp), f_fd in zip(ts, rows, fd)
     ]
+    return points, (u1, u2), (s1, s2)
 
 
-def _solution_measures(p: WallProfile, op: HalfLaplacianOperator) -> tuple[float, float]:
+def _solution_measures(
+    p: WallProfile, u: np.ndarray, su: np.ndarray | None, op: HalfLaplacianOperator
+) -> tuple[float, float]:
     """sup|g|/dx and the radius ||g / cos theta||_2 / sqrt(dx) over the
-    free nodes."""
-    g = energy_and_gradient(p, op)[1]
+    free nodes, from u = sin theta - h and its spectrum su (None at nu = 0):
+    the gradient energy_and_gradient returns, with one irfft."""
     dx, c = p.grid.spacing, p.grid.center_index
+    field = None if su is None else apply_spectral(op, su)
+    g = gradient(p.theta, u, dx, p.params.nu, field)
     free = np.r_[1:c, c + 1 : p.grid.n - 1]
     g_s = g[free] / np.cos(p.theta[free])
     return grad_norm(g, dx), float(np.linalg.norm(g_s)) / math.sqrt(dx)
@@ -216,9 +231,9 @@ def uniqueness_certificate(
     41-point scan of the path in points.
     """
     op = op or make_operator(p1.grid)
-    points = path_scan(p1, p2, op=op)  # checks the pair
-    grad_1, radius_1 = _solution_measures(p1, op)
-    grad_2, radius_2 = _solution_measures(p2, op)
+    points, (u1, u2), (s1, s2) = _scan(p1, p2, op)  # checks the pair
+    grad_1, radius_1 = _solution_measures(p1, u1, s1, op)
+    grad_2, radius_2 = _solution_measures(p2, u2, s2, op)
     ds = np.sin(p1.theta) - np.sin(p2.theta)
     distance = math.sqrt(p1.grid.spacing) * float(np.linalg.norm(ds))
     if not (grad_1 <= GRAD_TOL and grad_2 <= GRAD_TOL):

@@ -296,19 +296,18 @@ def sweep(
     params_list: list[ModelParams],
     grid: Grid,
     opts: SolveOptions | None = None,
-    init: str = "template",
 ) -> list[SweepRow]:
     """Run one independent minimize + analysis pass per (nu, h) entry.
 
-    Failures are captured per row; the sweep continues. Rows are returned in
-    input order.
+    Each row starts from the template; failures are captured per row and
+    the sweep continues. Rows are returned in input order.
     """
     opts = opts or SolveOptions()
     op = make_operator(grid)
     rows: list[SweepRow] = []
     for params in params_list:
         try:
-            p0 = make_initial_profile(grid, params, kind=init)
+            p0 = make_initial_profile(grid, params)
             p, report = minimize(p0, opts, op=op)
             decay_c = math.nan
             if params.nu > 0:

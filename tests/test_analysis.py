@@ -15,22 +15,25 @@ from neelwall import (
     energy,
     energy_and_gradient,
     fit_decay,
+    grad_norm,
     make_grid,
     make_initial_profile,
     make_operator,
     make_params,
     minimize,
     oracle,
+    recenter,
     spectrum,
     symmetry_defect,
     tail_decay_check,
+    uniqueness_certificate,
     verify,
 )
 from neelwall import analysis
 from neelwall.analysis import _median, derivative_sup
 
 # the package root exports a function named energy, which hides the module
-MODULES = [importlib.import_module(f"neelwall.{m}") for m in ("analysis", "energy", "greenfn", "halflap")]
+MODULES = [importlib.import_module(f"neelwall.{m}") for m in ("analysis", "energy", "greenfn", "halflap", "path")]
 
 
 def _kink(grid, params):
@@ -392,3 +395,54 @@ def test_oracle_takes_the_stray_field_of_each_corpus_function_once(monkeypatch):
     oracle(make_grid(257, 20.0))
     assert len(spectral) == 3
     assert len(spectra) == 3
+
+
+def test_oracle_makes_one_toeplitz_product_for_each_route(monkeypatch):
+    # the quadrature and the seminorm each take the whole corpus in one
+    # call, and neither reuses the other's product (6 products before)
+    products = _count_calls(monkeypatch, "toeplitz_product")
+    oracle(make_grid(257, 20.0))
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("nu, calls", [(1.0, (0, 3, 2)), (0.0, (0, 0, 0))])
+def test_certificate_reads_each_gradient_from_the_scans_spectrum(nu, calls, solved, operators, monkeypatch):
+    # the scan's spectra of u_1, u_2 and du, and one field per profile for
+    # its gradient: no energy_and_gradient call of its own, and the
+    # gradient that call returns, bit for bit
+    p, q = (recenter(solved(nu, 0.25, kind=kind)[0]) for kind in ("template", "perturbed"))
+    _, op = operators()
+    grads = [energy_and_gradient(r, op)[1] for r in (p, q)]
+    kernel = _count_calls(monkeypatch, "energy_and_gradient")
+    spectra = _count_calls(monkeypatch, "spectrum")
+    spectral = _count_calls(monkeypatch, "apply_spectral")
+    cert = uniqueness_certificate(p, q, op)
+    assert (len(kernel), len(spectra), len(spectral)) == calls
+    assert cert.verdict == "COINCIDE"
+    assert [cert.max_grad_1, cert.max_grad_2] == [grad_norm(g, p.grid.spacing) for g in grads]
+
+
+COMMANDS = {
+    "verify": lambda p, q: verify(p),
+    "certificate": lambda p, q: uniqueness_certificate(recenter(p), recenter(q)),
+    "oracle": lambda p, q: oracle(p.grid),
+}
+
+
+@pytest.mark.parametrize("command, transforms", [("verify", 7), ("certificate", 7), ("oracle", 14)])
+def test_transforms_per_command(command, transforms, solved, monkeypatch):
+    # each count includes the operator's 2 (one irfft of |k|, one rfft of
+    # its column); the oracle made 26 and the certificate 9 before each
+    # took its products and spectra once
+    p, _ = solved(1.0, 0.25)
+    q, _ = solved(1.0, 0.25, kind="perturbed")
+    calls = []
+    for name in ("rfft", "irfft"):
+
+        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    COMMANDS[command](p, q)
+    assert len(calls) == transforms

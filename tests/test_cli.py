@@ -463,6 +463,8 @@ def test_oracle_fails_the_lorentzian_at_n_1025(capsys):
         ["path", "a.txt", "b.txt", "--grad-tol", "1e-5"],
         # the oracle checks every interior node of a fixed corpus: it draws nothing
         ["oracle", "--seed", "0"],
+        # every sweep row starts from the template
+        ["sweep", "--init", "kink"],
     ],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
@@ -490,7 +492,7 @@ def test_config_precedence(tmp_path):
     assert len([ln for ln in prof.splitlines() if not ln.startswith("#")]) == 257
 
 
-def test_config_unknown_key(solved_dir, tmp_path):
+def test_config_unknown_key(solved_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for text in ("bogus = 1\n", "method = quasi_newton\n"):
         cfg.write_text(text)
@@ -503,6 +505,12 @@ def test_config_unknown_key(solved_dir, tmp_path):
     prof = str(solved_dir / "profile.txt")
     assert run(["path", prof, prof, "--config", str(cfg), "--out-dir", str(tmp_path / "p")]) == 1
     assert not (tmp_path / "p").exists()
+    # every sweep row starts from the template, so sweep reads no init
+    cfg.write_text("init = template\n")
+    capsys.readouterr()
+    assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 1
+    assert "unknown key 'init' for sweep" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):
@@ -513,7 +521,7 @@ def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "init = bogus")])
+@pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "n = 2.5")])
 def test_config_bad_value_names_file_and_line(command, text, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# a comment\n{text}\n")

@@ -247,6 +247,22 @@ def test_only_halflap_calls_the_fft(solved, monkeypatch):
     assert callers == {"neelwall.halflap"}
 
 
+@pytest.mark.parametrize("n, half_width", [(257, 20.0), (4097, 40.0)])
+def test_a_stacked_call_gives_each_row_what_it_gives_alone(n, half_width):
+    # the oracle passes its corpus as one stack to each real-space route
+    grid = make_grid(n, half_width)
+    corpus = np.stack([u for _, u in _oracle_corpus(grid)])
+    for stack in (corpus, np.stack((corpus, corpus[::-1]))):
+        quadratures = apply_quadrature(stack, grid)
+        seminorms = seminorm_double_integral(stack, grid)
+        assert quadratures.shape == stack.shape and seminorms.shape == stack.shape[:-1]
+        for index in np.ndindex(stack.shape[:-1]):
+            alone = apply_quadrature(stack[index], grid)
+            assert np.array_equal(quadratures[index], alone, equal_nan=True)
+            assert np.array_equal(seminorms[index], seminorm_double_integral(stack[index], grid))
+    assert isinstance(seminorm_double_integral(corpus[0], grid), float)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 255])
 def test_dst_is_the_orthonormal_sine_matrix_and_its_own_inverse(m, rng):
     j = np.arange(1, m + 1)
