@@ -58,7 +58,6 @@ from .model import (
 from .path import (
     CertificateVerdict,
     PathPoint,
-    path_scan,
     uniqueness_certificate,
 )
 from .solver import SolveOptions, SolveReport, minimize, sweep

@@ -27,7 +27,6 @@ from .energy import GRAD_TOL, energy_and_gradient, grad_norm
 from .errors import TailTooLargeError, WindowTooNoisyError
 from .greenfn import far_field_constant
 from .halflap import (
-    HalfLaplacianOperator,
     apply_quadrature,
     apply_spectral,
     make_operator,
@@ -234,7 +233,7 @@ def _gate(key: str, value: float | None, tol: float) -> dict:
     return {key: value, "tol": tol, "passed": value is not None and value <= tol}
 
 
-def verify(p: WallProfile, op: HalfLaplacianOperator | None = None) -> dict:
+def verify(p: WallProfile) -> dict:
     """Check a computed wall against the paper's claims and gate each check.
 
     Returns {"passed": all checks passed, "checks": {name: {..., "passed"}}}
@@ -250,11 +249,10 @@ def verify(p: WallProfile, op: HalfLaplacianOperator | None = None) -> dict:
     When u does not decay at the grid ends, each check that needs the field
     fails with why.
     """
-    op = op or make_operator(p.grid)
     nu = p.params.nu
     no_field = None
     try:
-        eb, grad, v = energy_and_gradient(p, op)
+        eb, grad, v = energy_and_gradient(p, make_operator(p.grid))
     except TailTooLargeError as exc:
         no_field = {"error": str(exc), "passed": False}
     fit, decay_fit = None, {"skipped": "exponential decay at nu=0", "passed": True}

@@ -88,7 +88,8 @@ def _write_csv_atomic(path: str, header, rows) -> None:
 
 def _read_config(path: str, command: str) -> dict:
     """The keys of a flat `key = value` file, each converted with its flag's
-    type. A key `command` does not read, or a bad value, names file:line."""
+    type. A key `command` does not read, a key set twice, or a bad value,
+    names file:line."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -101,6 +102,8 @@ def _read_config(path: str, command: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in COMMANDS[command]:
                 raise ValueError(f"{where}: unknown key {key!r} for {command}")
+            if key in cfg:
+                raise ValueError(f"{where}: {key} is set twice")
             kind, _, choices = FLAGS[key]
             try:
                 cfg[key] = kind(value)

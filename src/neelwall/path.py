@@ -43,7 +43,6 @@ from .model import Grid, WallProfile, trapezoid_weights
 __all__ = [
     "PathPoint",
     "CertificateVerdict",
-    "path_scan",
     "uniqueness_certificate",
 ]
 
@@ -115,13 +114,12 @@ def _path_theta(
     return theta, s
 
 
-def path_scan(
-    p1: WallProfile,
-    p2: WallProfile,
-    op: HalfLaplacianOperator | None = None,
-) -> list[PathPoint]:
+def _scan(
+    p1: WallProfile, p2: WallProfile, op: HalfLaplacianOperator
+) -> tuple[list[PathPoint], tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
     """Evaluate f, f', f'' at the T_POINTS uniform t in [0, 1], from p2
-    (t = 0) to p1 (t = 1).
+    (t = 0) to p1 (t = 1), with u = sin theta - h of p1 and p2 and their
+    spectra (None at nu = 0).
 
     With q_ab the pairing of the spectra s_a and s_b, the stray part
     of f is nu/4 (q_22 + t (2 q_2d + t q_dd)) inside and nu/4 q_11, nu/4 q_22
@@ -132,21 +130,9 @@ def path_scan(
     f_second_fd is the 5-point central difference of f, nan at the two t
     at each end that lack two neighbors; f_second_analytic comes from
     differentiating the discrete energy in t, so the two agree to roundoff.
-    Raises ValueError when op was built for another grid.
     """
-    return _scan(p1, p2, op)[0]
-
-
-def _scan(
-    p1: WallProfile, p2: WallProfile, op: HalfLaplacianOperator | None
-) -> tuple[list[PathPoint], tuple[np.ndarray, ...], tuple[np.ndarray | None, ...]]:
-    """path_scan's points, with u = sin theta - h of p1 and p2 and their
-    spectra (None at nu = 0)."""
     _require_pair(p1, p2)
     ts = np.linspace(0.0, 1.0, T_POINTS)
-    op = op or make_operator(p1.grid)
-    if op.grid != p1.grid:
-        raise ValueError(f"operator built for {op.grid}, profiles on {p1.grid}")
     grid, dx = p1.grid, p1.grid.spacing
     nu, h = p1.params.nu, p1.params.h
     sin1, sin2 = np.sin(p1.theta), np.sin(p2.theta)
@@ -215,11 +201,7 @@ def _solution_measures(
     return grad_norm(g, dx), float(np.linalg.norm(g_s)) / math.sqrt(dx)
 
 
-def uniqueness_certificate(
-    p1: WallProfile,
-    p2: WallProfile,
-    op: HalfLaplacianOperator | None = None,
-) -> CertificateVerdict:
+def uniqueness_certificate(p1: WallProfile, p2: WallProfile) -> CertificateVerdict:
     """Convexity-based coincidence test for two candidate solutions in B.
 
     A profile is a solution when sup|g|/dx <= GRAD_TOL, the test a solve
@@ -230,7 +212,7 @@ def uniqueness_certificate(
     implementation fault, not a counterexample. The verdict keeps the
     41-point scan of the path in points.
     """
-    op = op or make_operator(p1.grid)
+    op = make_operator(p1.grid)
     points, (u1, u2), (s1, s2) = _scan(p1, p2, op)  # checks the pair
     grad_1, radius_1 = _solution_measures(p1, u1, s1, op)
     grad_2, radius_2 = _solution_measures(p2, u2, s2, op)

@@ -18,10 +18,8 @@ from neelwall import (
     load_profile,
     make_grid,
     make_initial_profile,
-    make_operator,
     make_params,
     minimize,
-    path_scan,
     recenter,
     save_profile,
     uniqueness_certificate,
@@ -336,14 +334,12 @@ def test_path_outputs_match_one_scan(solved_dir, tmp_path):
     code = run(["path", str(solved_dir / "profile.txt"), str(tmp_path / "kink.txt"),
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    p1, p2 = recenter(prof), recenter(kink)
-    op = make_operator(p1.grid)
+    verdict = uniqueness_certificate(recenter(prof), recenter(kink))
     names = [f.name for f in fields(PathPoint)]
-    rows = [[f"{getattr(pt, name):.12g}" for name in names] for pt in path_scan(p1, p2, op=op)]
+    rows = [[f"{getattr(pt, name):.12g}" for name in names] for pt in verdict.points]
     lines = (tmp_path / "path.csv").read_text().splitlines()
     assert lines[0].split(",") == names
     assert [line.split(",") for line in lines[1:]] == rows
-    verdict = uniqueness_certificate(p1, p2, op=op)
     expected = {f.name: getattr(verdict, f.name) for f in fields(verdict) if f.name != "points"}
     assert json.loads((tmp_path / "certificate.json").read_text()) == expected
     assert expected["verdict"] == "NOT_BOTH_SOLUTIONS"
@@ -521,12 +517,17 @@ def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "n = 2.5")])
+@pytest.mark.parametrize(
+    "command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "n = 2.5"), (["solve"], "nu = 1\nnu = 2")]
+)
 def test_config_bad_value_names_file_and_line(command, text, tmp_path, capsys):
+    # the error names the text's last line: a key set twice is refused at
+    # its second line, not resolved to either value
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# a comment\n{text}\n")
+    line = 2 + text.count("\n")
     assert run(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    assert f"{cfg}:2:" in capsys.readouterr().err
+    assert f"{cfg}:{line}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

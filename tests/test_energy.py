@@ -12,9 +12,6 @@ from neelwall import (
     make_operator,
     make_params,
     minimize,
-    path_scan,
-    uniqueness_certificate,
-    verify,
 )
 from neelwall.model import trapezoid_weights
 
@@ -117,11 +114,8 @@ def test_an_evaluation_transforms_at_the_embedding_length(nu, transforms, monkey
 
 
 ENTRY_POINTS = {
-    "energy_and_gradient": lambda p, q, op: energy_and_gradient(p, op),
-    "minimize": lambda p, q, op: minimize(p, op=op),
-    "verify": lambda p, q, op: verify(p, op),
-    "path_scan": lambda p, q, op: path_scan(p, q, op=op),
-    "uniqueness_certificate": lambda p, q, op: uniqueness_certificate(p, q, op=op),
+    "energy_and_gradient": lambda p, op: energy_and_gradient(p, op),
+    "minimize": lambda p, op: minimize(p, op=op),
 }
 
 
@@ -129,10 +123,9 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("n, half_width", [(1023, 40.0), (1025, 20.0)], ids=["other_n", "other_L"])
 def test_an_operator_for_another_grid_is_rejected(entry, n, half_width, solved):
     # another lattice pairs the samples with the wrong |k|: instead of
-    # raising, path_scan read f(0) = 1.3993628 for 1.3993651 with n = 1023,
-    # and verify failed el_residual and stray_crosscheck with L = 20
+    # raising, the path scan read f(0) = 1.3993628 for 1.3993651 with
+    # n = 1023, and verify failed el_residual and stray_crosscheck with L = 20
     p, _ = solved(1.0, 0.25, n=1025)
-    q, _ = solved(1.0, 0.25, n=1025, kind="perturbed", seed=3)
     op = make_operator(make_grid(n, half_width))
     with pytest.raises(ValueError, match="operator built for"):
-        ENTRY_POINTS[entry](p, q, op)
+        ENTRY_POINTS[entry](p, op)

@@ -14,9 +14,9 @@ from neelwall import (
     make_params,
     minimize,
     pairing,
-    path_scan,
     seminorm_double_integral,
     spectrum,
+    uniqueness_certificate,
     verify,
 )
 from neelwall.analysis import _oracle_corpus
@@ -230,7 +230,7 @@ def test_pairing_is_the_dense_toeplitz_form_at_odd_and_even_lengths(n, embed_len
 
 
 def test_only_halflap_calls_the_fft(solved, monkeypatch):
-    # every transform, verify's and the path scan's included, is made in halflap
+    # every transform, verify's and the certificate's included, is made in halflap
     callers = set()
     for name in ("rfft", "irfft"):
 
@@ -243,7 +243,7 @@ def test_only_halflap_calls_the_fft(solved, monkeypatch):
     p, report = minimize(make_initial_profile(make_grid(513, 40.0), params))
     assert report.converged
     assert "far_field" in verify(p)["checks"]
-    path_scan(p, solved(1.0, 0.25, kind="perturbed")[0])
+    uniqueness_certificate(p, solved(1.0, 0.25, kind="perturbed")[0])
     assert callers == {"neelwall.halflap"}
 
 

@@ -15,7 +15,6 @@ from neelwall import (
     make_params,
     minimize,
     pairing,
-    path_scan,
     recenter,
     spectrum,
     uniqueness_certificate,
@@ -60,7 +59,7 @@ def test_requires_recentred_inputs(pair):
     p1, p2 = pair
     shifted = p1.with_theta(np.roll(p1.theta, 5))
     with pytest.raises(NotRecentredError):
-        path_scan(shifted, p2)
+        uniqueness_certificate(shifted, p2)
 
 
 def test_certificate_checks_the_pair_once(monkeypatch, pair):
@@ -91,9 +90,9 @@ def test_flat_topped_pair_gets_the_verdict_of_its_reflection(bump, rejected):
     for a, b in ((p1, p2), [p.with_theta(math.pi - p.theta[::-1]) for p in (p1, p2)]):
         if rejected:
             with pytest.raises(FlatTopError):
-                path_scan(a, b)
+                uniqueness_certificate(a, b)
         else:
-            outcomes.append(min(pt.f_second_analytic for pt in path_scan(a, b)))
+            outcomes.append(uniqueness_certificate(a, b).min_f_second)
     if not rejected:
         assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-12)
         assert outcomes[0] > 0.5
@@ -102,26 +101,24 @@ def test_flat_topped_pair_gets_the_verdict_of_its_reflection(bump, rejected):
 def test_scan_endpoint_energies(pair, operators):
     p1, p2 = pair
     _, op = operators()
-    pts = path_scan(p1, p2, op=op)
+    pts = uniqueness_certificate(p1, p2).points
     # bit for bit: the ends are the input profiles, not their arcsin images
     assert pts[0].f == energy(p2, op).total
     assert pts[-1].f == energy(p1, op).total
 
 
-def test_scan_convexity_and_fd_consistency(pair, operators):
+def test_scan_convexity_and_fd_consistency(pair):
     p1, p2 = pair
-    _, op = operators()
-    pts = path_scan(p1, p2, op=op)
+    pts = uniqueness_certificate(p1, p2).points
     assert min(pt.f_second_analytic for pt in pts) > 0.0
     for pt in pts:
         if not math.isnan(pt.f_second_fd):
             assert abs(pt.f_second_fd - pt.f_second_analytic) <= 1e-4 * abs(pt.f_second_analytic)
 
 
-def test_scan_first_derivative_matches_fd(pair, operators):
+def test_scan_first_derivative_matches_fd(pair):
     p1, p2 = pair
-    _, op = operators()
-    pts = path_scan(p1, p2, op=op)
+    pts = uniqueness_certificate(p1, p2).points
     fs = np.array([pt.f for pt in pts])
     dt = pts[1].t - pts[0].t
     fd = (fs[2:] - fs[:-2]) / (2 * dt)
@@ -130,50 +127,46 @@ def test_scan_first_derivative_matches_fd(pair, operators):
     assert np.max(np.abs(fd - an)) <= 1e-3 * np.max(np.abs(an))
 
 
-def test_scan_swap_symmetry(pair, operators):
+def test_scan_swap_symmetry(pair):
     p1, p2 = pair
-    _, op = operators()
-    a = path_scan(p1, p2, op=op)
-    b = path_scan(p2, p1, op=op)
+    a = uniqueness_certificate(p1, p2).points
+    b = uniqueness_certificate(p2, p1).points
     for pa, pb in zip(a, b[::-1]):
         assert pa.f == pytest.approx(pb.f, rel=1e-13)
 
 
-def test_scan_samples_the_41_uniform_t(pair, operators):
+def test_scan_samples_the_41_uniform_t(pair):
     p1, p2 = pair
-    _, op = operators()
-    pts = path_scan(p1, p2, op=op)
+    pts = uniqueness_certificate(p1, p2).points
     assert np.array_equal([pt.t for pt in pts], np.linspace(0.0, 1.0, 41))
     # the 5-point difference needs two neighbours on each side
     assert np.flatnonzero(np.isnan([pt.f_second_fd for pt in pts])).tolist() == [0, 1, 39, 40]
 
 
-def test_scan_degenerate_pair(pair, operators):
+def test_scan_degenerate_pair(pair):
     p1, _ = pair
-    _, op = operators()
-    pts = path_scan(p1, p1, op=op)
+    pts = uniqueness_certificate(p1, p1).points
     for pt in pts:
         assert pt.f == pytest.approx(pts[0].f, rel=1e-14)
         assert abs(pt.f_prime) <= 1e-12
         assert abs(pt.f_second_analytic) <= 1e-12
 
 
-def test_certificate_identical_inputs(pair, solved, operators):
+def test_certificate_identical_inputs(pair, solved):
     # identical inputs take the two rules of any pair: a solution with itself
     # coincides at distance 0, a kink with itself is no solution
     p, _ = solved(1.0, 0.3)
     kink, _ = pair
-    _, op = operators()
-    v = uniqueness_certificate(p, p, op=op)
+    v = uniqueness_certificate(p, p)
     assert v.verdict == "COINCIDE" and v.s_distance == 0.0
-    assert uniqueness_certificate(kink, kink, op=op).verdict == "NOT_BOTH_SOLUTIONS"
+    assert uniqueness_certificate(kink, kink).verdict == "NOT_BOTH_SOLUTIONS"
 
 
 def test_certificate_rejects_non_solution_pair(solved, operators):
     p, _ = solved(1.0, 0.3)
-    grid, op = operators()
+    grid, _ = operators()
     kink = recenter(make_initial_profile(grid, make_params(1.0, 0.3), kind="kink", width=2.0))
-    v = uniqueness_certificate(p, kink, op=op)
+    v = uniqueness_certificate(p, kink)
     assert v.verdict == "NOT_BOTH_SOLUTIONS"
 
 
@@ -206,7 +199,7 @@ def test_scan_transforms_u_three_times(nu, rffts, operators, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    pts = path_scan(p1, p2, op=op)
+    pts = pathmod._scan(p1, p2, op)[0]
     assert len(pts) == 41
     assert calls == {"rfft": rffts, "irfft": 0}
 
@@ -222,8 +215,9 @@ def test_scan_takes_one_arcsin_per_t_and_no_cos(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np, name, counted)
+    op = make_operator(p1.grid)
     calls.update(sin=0, cos=0, arcsin=0)
-    path_scan(p1, p2)
+    pathmod._scan(p1, p2, op)
     # theta^t from one arcsin of the mixed sine; cos theta^t from the sine;
     # sin theta_1 and sin theta_2 twice each, in the pair check and the scan
     assert calls == {"sin": 4, "cos": 0, "arcsin": 41}
@@ -237,7 +231,7 @@ def test_certificate_rejects_converged_against_three_step_solve(nu, h, n, solved
     p, report = solved(nu, h, n=n)
     q, early = minimize(make_initial_profile(grid, params, kind="kink"), SolveOptions(max_iter=3), op)
     assert report.converged and not early.converged
-    v = uniqueness_certificate(recenter(p), recenter(q), op=op)
+    v = uniqueness_certificate(recenter(p), recenter(q))
     assert v.verdict == "NOT_BOTH_SOLUTIONS"
     assert v.max_grad_1 <= 1e-6 < v.max_grad_2
 
@@ -306,7 +300,7 @@ def test_scan_second_derivative_is_at_least_the_convexity_modulus(which, solutio
         w = trapezoid_weights(p1.grid.n, p1.grid.spacing)
         sd = spectrum(op, ds)
         lower = float(w @ (ds * ds)) + 0.5 * p1.params.nu * pairing(op, sd, sd)
-        v = uniqueness_certificate(p1, p2, op=op)
+        v = uniqueness_certificate(p1, p2)
         assert lower > 0.0
         assert all(pt.f_second_analytic >= lower for pt in v.points)
         assert v.s_distance <= v.radius_1 + v.radius_2
@@ -327,14 +321,13 @@ def test_radius_bounds_the_distance_of_a_partial_solve(nu, h, max_iter, operator
     ref, ref_report = minimize(make_initial_profile(grid, params), SolveOptions(grad_tol=1e-11), op)
     partial, _ = minimize(make_initial_profile(grid, params, kind="kink"), SolveOptions(max_iter=max_iter), op)
     assert ref_report.converged
-    v = uniqueness_certificate(partial, ref, op=op)
+    v = uniqueness_certificate(partial, ref)
     assert v.radius_2 <= 1e-3 * v.radius_1
     assert v.s_distance <= v.radius_1
 
 
-def test_certificate_coincides_within_the_radii_of_two_solutions(solution_pair, operators):
-    _, op = operators()
-    v = uniqueness_certificate(*solution_pair, op=op)
+def test_certificate_coincides_within_the_radii_of_two_solutions(solution_pair):
+    v = uniqueness_certificate(*solution_pair)
     assert v.verdict == "COINCIDE"
     assert max(v.max_grad_1, v.max_grad_2) <= 1e-6
     assert 0.0 < v.s_distance <= 0.1 * (v.radius_1 + v.radius_2)
@@ -382,7 +375,7 @@ def _per_t_reference(p1, p2, t, op):
 def test_scan_matches_per_t_formulas(which, solution_pair, operators):
     p1, p2 = solution_pair if which == "solutions" else _kink_pair(1.0)
     _, op = operators()
-    pts = path_scan(p1, p2, op=op)
+    pts = uniqueness_certificate(p1, p2).points
     ts = [pt.t for pt in pts]
     ref = np.array([_per_t_reference(p1, p2, t, op) for t in ts])
     f, fp, fpp = (np.array([getattr(pt, k) for pt in pts]) for k in ("f", "f_prime", "f_second_analytic"))

@@ -283,19 +283,30 @@ def test_the_energy_difference_in_nu_lies_between_the_stray_parts(h, solved):
     assert e_2.stray / nu_2 < slope < e_1.stray / nu_1
 
 
-def test_the_energy_slope_in_nu_at_nu_0_is_ln2_over_pi():
-    # at nu = 0, h = 0 the wall is sech x, whose transform is pi sech(pi k/2),
-    # so dE/dnu = B(sech) = 1/4 <sech, |k| sech> = ln 2 / pi in the continuum
-    # (ROADMAP item 14). The secant over nu = 1e-3, solved to 1e-10, misses it
-    # by -1.09e-3 relative here, -6.1e-4 at (513, 20) and -3.0e-4 at
-    # (1025, 40), so the tolerance is 2e-3; a stray term scaled by 1.01
-    # misses by +8.9e-3
+@pytest.mark.parametrize(
+    "h, continuum", [(0.0, math.log(2.0) / math.pi), (0.5, 0.0568141146)], ids=["h=0", "h=0.5"]
+)
+def test_the_energy_slope_in_nu_at_nu_0_is_the_continuum_value(h, continuum):
+    # at nu = 0 the wall is u_0 = (1 - h^2)/(cosh(a x) + h), a = cos theta_h,
+    # whose transform is 2 pi sinh(alpha k/a)/sinh(pi k/a) with alpha =
+    # arccos h, so dE/dnu = 1/4 <u_0, |k| u_0> = pi a^2 int_0^inf y
+    # sinh^2(alpha y)/sinh^2(pi y) dy in the continuum, ln 2 / pi at h = 0
+    # (ROADMAP items 14 and 18). The secant over nu = 1e-3 at (257, 20),
+    # solved to 1e-10, misses it by -1.09e-3 and -1.07e-3 relative (at h = 0,
+    # -6.1e-4 at (513, 20) and -3.0e-4 at (1025, 40)), so the tolerance is
+    # 2e-3; a stray term scaled by 1.01 misses by +8.9e-3 at both h
     grid = make_grid(257, 20.0)
     op = make_operator(grid)
     opts = SolveOptions(grad_tol=1e-10)
     e_0, e_1 = [
-        minimize(make_initial_profile(grid, make_params(nu, 0.0)), opts, op=op)[1].final_energy.total
+        minimize(make_initial_profile(grid, make_params(nu, h)), opts, op=op)[1].final_energy.total
         for nu in (0.0, 1e-3)
     ]
-    slope = (e_1 - e_0) / 1e-3
-    assert abs(slope / (math.log(2.0) / math.pi) - 1.0) <= 2e-3
+    y = np.linspace(0.0, 60.0, 600001)
+    f = np.zeros_like(y)  # the integrand's limit at y = 0
+    f[1:] = y[1:] * (np.sinh(math.acos(h) * y[1:]) / np.sinh(math.pi * y[1:])) ** 2
+    weights = np.ones_like(y)  # Simpson's rule
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    integral = math.pi * (1.0 - h * h) * float(weights @ f) * y[1] / 3.0
+    assert integral == pytest.approx(continuum, rel=1e-9)
+    assert abs((e_1 - e_0) / 1e-3 / integral - 1.0) <= 2e-3
