@@ -75,8 +75,7 @@ class CertificateVerdict:
 
 
 def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
-    same_grid = p1.grid.n == p2.grid.n and p1.grid.half_width == p2.grid.half_width
-    if not same_grid or p1.params != p2.params:
+    if p1.grid != p2.grid or p1.params != p2.params:
         raise ValueError("profiles must share grid and parameters")
     c = p1.grid.center_index
     for p in (p1, p2):

@@ -99,13 +99,15 @@ def test_solve_on_a_half_width_the_grid_cannot_space_exits_1(half_width, tmp_pat
     assert not (tmp_path / "profile.txt").exists()
 
 
-def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path):
+def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path, capsys):
     grid = ["--n", "257", "--half-width", "20"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["solve", *grid, "--out-dir", str(a)]) == 0
     assert run(["solve", *grid, "--init", "perturbed", "--seed", "3", "--out-dir", str(b)]) == 0
     assert run(["verify", str(a / "profile.txt"), "--out-dir", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
     assert run(["path", str(a / "profile.txt"), str(b / "profile.txt"), "--out-dir", str(tmp_path / "ab")]) == 0
+    assert capsys.readouterr().out.startswith("certificate: COINCIDE ")
     report = json.loads((a / "report.json").read_text())
     checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
     cert = json.loads((tmp_path / "ab" / "certificate.json").read_text())
@@ -432,8 +434,9 @@ def test_sweep_csv_prints_a_failed_row_as_nan(tmp_path, monkeypatch):
     assert failed[-1] == "false"
 
 
-def test_oracle(capsys):
-    assert run(["oracle", "--n", "2049", "--half-width", "40"]) == 0
+@pytest.mark.parametrize("n, half_width", [("2049", "40"), ("4097", "80")])
+def test_oracle(n, half_width, capsys):
+    assert run(["oracle", "--n", n, "--half-width", half_width]) == 0
     assert "oracle: PASS" in capsys.readouterr().out
 
 
