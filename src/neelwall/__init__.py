@@ -28,7 +28,6 @@ from .errors import (
     MultipleCrossingsError,
     NeelWallError,
     NoCrossingError,
-    NotRecentredError,
     RangeViolationError,
     TailTooLargeError,
     WindowTooNoisyError,

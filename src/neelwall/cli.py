@@ -33,7 +33,6 @@ from .model import (
     make_initial_profile,
     make_params,
     load_profile,
-    recenter,
     save_profile,
     write_text_atomic,
 )
@@ -149,9 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    p1 = recenter(load_profile(args.profile_a))
-    p2 = recenter(load_profile(args.profile_b))
-    verdict = pathmod.uniqueness_certificate(p1, p2)
+    verdict = pathmod.uniqueness_certificate(load_profile(args.profile_a), load_profile(args.profile_b))
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     header = [f.name for f in fields(pathmod.PathPoint)]

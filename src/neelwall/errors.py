@@ -24,10 +24,6 @@ class WindowTooNoisyError(NeelWallError):
     """The x^2-tail plateau varies too much over the fitting window."""
 
 
-class NotRecentredError(NeelWallError):
-    """Path construction requires theta(0) = pi/2 on both endpoints."""
-
-
 class FlatTopError(NeelWallError):
     """|sin theta| = 1 at a node other than the center, where the arcsin
     path's t-derivatives divide by cos theta = 0."""

@@ -256,6 +256,8 @@ def load_profile(path) -> WallProfile:
             key, sep, value = tok.partition("=")
             if not sep:
                 raise ValueError(f"profile header token {tok!r} is not key=value")
+            if key in fields:
+                raise ValueError(f"profile header sets {key} twice")
             fields[key] = value
         missing = [key for key in ("nu", "h", "n", "L") if key not in fields]
         if missing:

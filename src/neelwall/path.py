@@ -1,10 +1,10 @@
 """Arcsin interpolation between wall profiles and the uniqueness certificate.
 
-Two profiles with theta(0) = pi/2 are joined by the path defined through
-sin theta^t = s = t sin theta_1 + (1 - t) sin theta_2, with the branch
-pi - arcsin picked for x < 0. The energy along the path, f(t), is convex;
-its first and second t-derivatives are computed exactly for the discrete
-energy, so finite differences of f reproduce them to roundoff.
+The certificate compares walls up to translation: it recentres both
+profiles (model.recenter) and joins them by the path sin theta^t = s =
+t sin theta_1 + (1 - t) sin theta_2, with the branch pi - arcsin picked for
+x < 0. The energy along the path, f(t), is convex; its t-derivatives are
+exact for the discrete energy, so finite differences of f reproduce them.
 
 On the branch box B (theta in [0, pi/2] on x > 0, in [pi/2, pi] on x < 0)
 the discrete energy is dx-strongly convex in s = sin theta on the free
@@ -24,7 +24,7 @@ theta^t = +-sqrt((1 - s)(1 + s)) gives the t-derivatives of theta^t. u^t =
 s - h = t u_1 + (1 - t) u_2 is linear in t, so the stray term is a quadratic
 in t whose coefficients come from three real FFTs for the whole scan: the
 spectra of u_1, u_2 and du = u_1 - u_2. At t = 0 and 1, f is the energy of
-the input profile itself, bit for bit. The certificate builds each
+the recentred input itself, bit for bit. The certificate builds each
 profile's gradient from the scan's spectrum of its u, one irfft each.
 """
 
@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import GRAD_TOL, energy_parts, grad_norm, gradient
-from .errors import FlatTopError, NotRecentredError, RangeViolationError
+from .errors import FlatTopError, RangeViolationError
 from .halflap import HalfLaplacianOperator, apply_spectral, make_operator, pairing, spectrum
-from .model import Grid, WallProfile, trapezoid_weights
+from .model import Grid, WallProfile, recenter, trapezoid_weights
 
 __all__ = [
     "PathPoint",
@@ -46,7 +46,6 @@ __all__ = [
     "uniqueness_certificate",
 ]
 
-RECENTRE_TOL = 1e-8
 T_POINTS = 41  # the scan: t = 0, 1/40, ..., 1
 
 
@@ -55,7 +54,6 @@ class PathPoint:
     t: float
     f: float
     f_prime: float
-    f_second_fd: float
     f_second_analytic: float
 
 
@@ -79,10 +77,6 @@ def _require_pair(p1: WallProfile, p2: WallProfile) -> None:
         raise ValueError("profiles must share grid and parameters")
     c = p1.grid.center_index
     for p in (p1, p2):
-        if abs(p.theta[c] - math.pi / 2.0) > RECENTRE_TOL:
-            raise NotRecentredError(
-                f"theta(0) = {p.theta[c]:.12g}, expected pi/2; recenter first"
-            )
         lo = np.where(p.grid.nodes > 0.0, 0.0, math.pi / 2.0)
         outside = np.flatnonzero(~((lo <= p.theta) & (p.theta <= lo + math.pi / 2.0)))  # NaN too
         outside = outside[outside != c]
@@ -125,10 +119,6 @@ def _scan(
     at the ends; f' takes nu/2 (q_2d + t q_dd) and f'' takes nu/2 q_dd.
     s_d is the spectrum of du itself: s_1 - s_2 would cancel the digits of
     f'' when the profiles nearly coincide.
-
-    f_second_fd is the 5-point central difference of f, nan at the two t
-    at each end that lack two neighbors; f_second_analytic comes from
-    differentiating the discrete energy in t, so the two agree to roundoff.
     """
     _require_pair(p1, p2)
     ts = np.linspace(0.0, 1.0, T_POINTS)
@@ -175,14 +165,7 @@ def _scan(
         f_pp = float(np.dot(ddt1, ddt1) + np.dot(dth, ddt2)) / dx + pot_pp
         rows.append((f, f_p + (nu / 2.0) * (q2d + t * qdd), f_pp + (nu / 2.0) * qdd))
 
-    fs = np.array([r[0] for r in rows])
-    fd = np.full(T_POINTS, math.nan)
-    step = ts[1]
-    fd[2:-2] = (-fs[:-4] + 16.0 * fs[1:-3] - 30.0 * fs[2:-2] + 16.0 * fs[3:-1] - fs[4:]) / (12.0 * step**2)
-    points = [
-        PathPoint(float(t), f, f_p, float(f_fd), f_pp)
-        for t, (f, f_p, f_pp), f_fd in zip(ts, rows, fd)
-    ]
+    points = [PathPoint(float(t), *row) for t, row in zip(ts, rows)]
     return points, (u1, u2), (s1, s2)
 
 
@@ -201,7 +184,8 @@ def _solution_measures(
 
 
 def uniqueness_certificate(p1: WallProfile, p2: WallProfile) -> CertificateVerdict:
-    """Convexity-based coincidence test for two candidate solutions in B.
+    """Convexity-based coincidence test, up to translation, for two
+    candidate solutions in B.
 
     A profile is a solution when sup|g|/dx <= GRAD_TOL, the test a solve
     stops on and verify gates as el_residual; either failing it (NaN
@@ -211,6 +195,7 @@ def uniqueness_certificate(p1: WallProfile, p2: WallProfile) -> CertificateVerdi
     implementation fault, not a counterexample. The verdict keeps the
     41-point scan of the path in points.
     """
+    p1, p2 = recenter(p1), recenter(p2)
     op = make_operator(p1.grid)
     points, (u1, u2), (s1, s2) = _scan(p1, p2, op)  # checks the pair
     grad_1, radius_1 = _solution_measures(p1, u1, s1, op)

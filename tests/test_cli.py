@@ -20,7 +20,6 @@ from neelwall import (
     make_initial_profile,
     make_params,
     minimize,
-    recenter,
     save_profile,
     uniqueness_certificate,
     verify,
@@ -262,6 +261,15 @@ def test_profile_header_bad_token_exits_1(solved_dir, tmp_path, capsys):
     assert "token 'L'" in capsys.readouterr().err
 
 
+def test_profile_header_repeating_a_key_exits_1(solved_dir, tmp_path, capsys):
+    header, rest = (solved_dir / "profile.txt").read_text().split("\n", 1)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header} nu=2\n{rest}")
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
+    assert "sets nu twice" in capsys.readouterr().err
+
+
 def test_profile_with_a_non_finite_node_exits_1(solved_dir, tmp_path, capsys):
     # a NaN node would reach every figure that verify and path report
     lines = (solved_dir / "profile.txt").read_text().splitlines(keepends=True)
@@ -324,7 +332,7 @@ def test_path_same_profile_coincides(solved_dir, tmp_path):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] == "COINCIDE"
     header = (tmp_path / "path.csv").read_text().splitlines()[0]
-    assert header == "t,f,f_prime,f_second_fd,f_second_analytic"
+    assert header == "t,f,f_prime,f_second_analytic"
 
 
 def test_path_outputs_match_one_scan(solved_dir, tmp_path):
@@ -336,10 +344,11 @@ def test_path_outputs_match_one_scan(solved_dir, tmp_path):
     code = run(["path", str(solved_dir / "profile.txt"), str(tmp_path / "kink.txt"),
                 "--out-dir", str(tmp_path)])
     assert code == 0
-    verdict = uniqueness_certificate(recenter(prof), recenter(kink))
+    verdict = uniqueness_certificate(prof, kink)
     names = [f.name for f in fields(PathPoint)]
     rows = [[f"{getattr(pt, name):.12g}" for name in names] for pt in verdict.points]
     lines = (tmp_path / "path.csv").read_text().splitlines()
+    assert lines[0] == "t,f,f_prime,f_second_analytic"
     assert lines[0].split(",") == names
     assert [line.split(",") for line in lines[1:]] == rows
     expected = {f.name: getattr(verdict, f.name) for f in fields(verdict) if f.name != "points"}

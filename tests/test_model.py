@@ -215,6 +215,16 @@ def test_load_profile_names_a_missing_header_key(tmp_path):
         load_profile(path)
 
 
+def test_load_profile_names_a_repeated_header_key(tmp_path):
+    # the last value used to win: this header loaded at nu = 1
+    path = tmp_path / "profile.txt"
+    save_profile(path, make_initial_profile(make_grid(257, 20.0), make_params(2.0, 0.0)))
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{header} nu=1\n{rest}")
+    with pytest.raises(ValueError, match="sets nu twice"):
+        load_profile(path)
+
+
 def test_load_profile_names_a_bad_header_token(tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("# nu=1 h=0 n=17 L\n")
