@@ -159,14 +159,16 @@ def spectrum(op: HalfLaplacianOperator, u: np.ndarray) -> np.ndarray:
     decay at the grid ends.
     """
     u = np.asarray(u, dtype=float)
-    v = u - 0.5 * (u[0] + u[-1])
-    tail = max(abs(v[0]), abs(v[-1]))
-    if tail > TAIL_TOL:
+    # python floats, so a non-finite end gives nan or inf here without a warning
+    a, b = float(u[0]), float(u[-1])
+    mean = 0.5 * (a + b)
+    tail = max(abs(a - mean), abs(b - mean))
+    if not tail <= TAIL_TOL:
         raise TailTooLargeError(
             f"|input| at the grid ends is {tail:.3g} > {TAIL_TOL:.3g}; "
             "nonlocal operators expect u = sin(theta) - h"
         )
-    return np.fft.rfft(v, op.embed_len)
+    return np.fft.rfft(u - mean, op.embed_len)
 
 
 def apply_spectral(op: HalfLaplacianOperator, su: np.ndarray) -> np.ndarray:

@@ -232,21 +232,20 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def save_profile(path, p: WallProfile) -> None:
-    """Write a profile atomically as two-column text with a parameter header.
+    """Write a profile atomically: the header ``# nu=... h=... n=... L=...``,
+    then theta at the nodes of ``make_grid(n, L)``, one value per line.
 
     Values are written with 17 significant digits so that the round trip is
     bit exact.
     """
     g, m = p.grid, p.params
     header = f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"
-    rows = ("%.17g %.17g\n" * g.n) % tuple(np.column_stack((g.nodes, p.theta)).ravel().tolist())
-    write_text_atomic(path, header + rows)
+    write_text_atomic(path, header + ("%.17g\n" * g.n) % tuple(p.theta.tolist()))
 
 
 def load_profile(path) -> WallProfile:
-    """Read a profile written by :func:`save_profile`; its x column must be
-    exactly the nodes of the grid named in the header, and every x and theta
-    finite."""
+    """Read a profile written by :func:`save_profile`: a header setting
+    exactly nu, h, n and L, then n finite theta values, one per line."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -256,6 +255,8 @@ def load_profile(path) -> WallProfile:
             key, sep, value = tok.partition("=")
             if not sep:
                 raise ValueError(f"profile header token {tok!r} is not key=value")
+            if key not in ("nu", "h", "n", "L"):
+                raise ValueError(f"profile header has unknown key {key!r}")
             if key in fields:
                 raise ValueError(f"profile header sets {key} twice")
             fields[key] = value
@@ -266,14 +267,10 @@ def load_profile(path) -> WallProfile:
         h = float(fields["h"])
         n = int(fields["n"])
         half_width = float(fields["L"])
-        data = np.loadtxt(fh)
-    if data.shape != (n, 2):
-        raise ValueError(f"expected {n} rows of (x, theta), got shape {data.shape}")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        theta = np.loadtxt(fh, ndmin=1)
+    if theta.shape != (n,):
+        raise ValueError(f"expected {n} lines of one theta each, got shape {theta.shape}")
+    bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
-        raise ValueError(f"{path}: data row {bad[0] + 1}, (x, theta) = {data[bad[0]].tolist()}, is not finite")
-    grid = make_grid(n, half_width)
-    if not np.array_equal(data[:, 0], grid.nodes):
-        raise ValueError(f"x column does not match the n={n}, L={half_width:.17g} grid nodes")
-    params = make_params(nu, h)
-    return WallProfile(grid=grid, theta=data[:, 1].copy(), params=params)
+        raise ValueError(f"{path}: data row {bad[0] + 1}, theta = {theta[bad[0]]}, is not finite")
+    return WallProfile(grid=make_grid(n, half_width), theta=theta, params=make_params(nu, h))

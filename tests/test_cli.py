@@ -163,8 +163,7 @@ def test_verify_fail_on_corrupted(solved_dir, tmp_path):
         if line.startswith("#") or not (60 <= i <= 64):
             out.append(line)
         else:
-            x, th = line.split()
-            out.append(f"{x} {float(th) + 0.05}\n")
+            out.append(f"{float(line) + 0.05}\n")
     broken.write_text("".join(out))
     code = run(["verify", str(broken), "--out-dir", str(tmp_path)])
     assert code == 3
@@ -259,6 +258,12 @@ def test_profile_header_bad_token_exits_1(solved_dir, tmp_path, capsys):
     assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
     assert "token 'L'" in capsys.readouterr().err
+    # a key outside nu, h, n, L is refused, not ignored
+    header, rest = (solved_dir / "profile.txt").read_text().split("\n", 1)
+    bad.write_text(f"{header} H=0.9\n{rest}")
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(bad), str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("unknown key 'H'") == 2
 
 
 def test_profile_header_repeating_a_key_exits_1(solved_dir, tmp_path, capsys):
@@ -273,12 +278,23 @@ def test_profile_header_repeating_a_key_exits_1(solved_dir, tmp_path, capsys):
 def test_profile_with_a_non_finite_node_exits_1(solved_dir, tmp_path, capsys):
     # a NaN node would reach every figure that verify and path report
     lines = (solved_dir / "profile.txt").read_text().splitlines(keepends=True)
-    lines[100] = f"{lines[100].split()[0]} nan\n"
+    lines[100] = "nan\n"
     bad = tmp_path / "nan.txt"
     bad.write_text("".join(lines))
     assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert run(["path", str(solved_dir / "profile.txt"), str(bad), "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.count("data row 100,") == 2
+
+
+def test_a_profile_listing_x_next_to_theta_exits_1(solved_dir, tmp_path, capsys):
+    p = load_profile(solved_dir / "profile.txt")
+    header = (solved_dir / "profile.txt").read_text().split("\n", 1)[0]
+    rows = "".join(f"{x:.17g} {theta:.17g}\n" for x, theta in zip(p.grid.nodes, p.theta))
+    bad = tmp_path / "two_columns.txt"
+    bad.write_text(f"{header}\n{rows}")
+    assert run(["verify", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert run(["path", str(solved_dir / "profile.txt"), str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("lines of one theta each") == 2
 
 
 def test_verify_json_far_field_is_the_law_and_the_fit(solved_dir, tmp_path):

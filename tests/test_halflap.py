@@ -119,6 +119,17 @@ def test_tail_guard():
         spectrum(op, grid.nodes.copy())
 
 
+@pytest.mark.parametrize("end, value", [(0, np.nan), (-1, np.nan), (0, np.inf), (-1, np.inf), (-1, -np.inf)])
+def test_tail_guard_rejects_a_non_finite_end(end, value):
+    # a nan tail fails every comparison, and an infinite end makes inf - inf
+    # of the end-mean subtraction: both must read as a tail too large
+    grid = make_grid(257, 10.0)
+    u = np.exp(-0.5 * grid.nodes**2)
+    u[end] = value
+    with pytest.raises(TailTooLargeError, match="at the grid ends is"):
+        spectrum(make_operator(grid), u)
+
+
 def _seminorm_block_sum(u, grid, block_rows=256):
     """The seminorm oracle's double trapezoid sum taken entry by entry over
     the n x n integrand, in row blocks: the reference for the Toeplitz

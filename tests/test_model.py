@@ -128,25 +128,29 @@ def test_recenter_errors():
         recenter(wiggly)
 
 
-def test_save_load_round_trip(tmp_path):
-    params = make_params(2.0, 0.25)
-    grid = make_grid(257, 40.0)
-    p = make_initial_profile(grid, params, kind="perturbed", seed=5)
+@pytest.mark.parametrize("n, half_width", [(257, 40.0), (17, 0.1 + 0.2), (8193, 12345.678)])
+def test_save_load_round_trip(tmp_path, n, half_width):
+    grid = make_grid(n, half_width)
+    theta = np.random.default_rng(5).uniform(0.0, math.pi, n)
+    theta[3] = -0.0
+    p = make_initial_profile(grid, make_params(2.0, 0.25)).with_theta(theta)
     path = tmp_path / "profile.txt"
     save_profile(path, p)
     q = load_profile(path)
     assert q.params == p.params
-    assert q.grid.n == p.grid.n
-    assert q.grid.half_width == p.grid.half_width
-    assert np.array_equal(q.theta, p.theta)
+    assert q.grid == p.grid
+    # Grid equality skips the nodes, which the file does not list: the
+    # header's n and L must rebuild them bit for bit
+    assert q.grid.nodes.tobytes() == p.grid.nodes.tobytes()
+    assert q.theta.tobytes() == p.theta.tobytes()
 
 
 def _save_profile_reference(path, p):
-    # the row-by-row writer that save_profile replaced
+    # a line-by-line writer of the same layout
     g, m = p.grid, p.params
     lines = [f"# nu={m.nu:.17g} h={m.h:.17g} n={g.n:d} L={g.half_width:.17g}\n"]
-    for xi, ti in zip(g.nodes, p.theta):
-        lines.append(f"{xi:.17g} {ti:.17g}\n")
+    for ti in p.theta:
+        lines.append(f"{ti:.17g}\n")
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
@@ -161,7 +165,7 @@ def test_save_profile_matches_the_reference_writer(tmp_path, n):
     save_profile(tmp_path / "new.txt", p)
     _save_profile_reference(tmp_path / "old.txt", p)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
-    assert f"\n{grid.nodes[3]:.17g} -0\n" in (tmp_path / "new.txt").read_text()
+    assert "\n-0\n" in (tmp_path / "new.txt").read_text()
 
 
 def test_save_profile_is_atomic(tmp_path, monkeypatch):
@@ -182,27 +186,24 @@ def test_save_profile_is_atomic(tmp_path, monkeypatch):
 
 
 def test_load_profile_rejects_foreign_x_column(tmp_path):
+    # the grid is the header's n and L alone: a file that lists x next to
+    # theta on every line fails the shape check
     grid = make_grid(257, 40.0)
     p = make_initial_profile(grid, make_params(1.0, 0.3), kind="kink")
     path = tmp_path / "profile.txt"
-    save_profile(path, p)
-    lines = path.read_text().splitlines(keepends=True)
-    x, theta = lines[5].split()
-    lines[5] = f"{float(x) + 1e-9!r} {theta}\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError, match="x column"):
+    rows = "".join(f"{x:.17g} {theta:.17g}\n" for x, theta in zip(grid.nodes, p.theta))
+    path.write_text(f"# nu=1 h=0.3 n=257 L=40\n{rows}")
+    with pytest.raises(ValueError, match=r"257 lines of one theta each, got shape \(257, 2\)"):
         load_profile(path)
 
 
-@pytest.mark.parametrize("row, column, value", [(5, 1, "nan"), (1, 0, "-inf"), (257, 1, "inf")])
-def test_load_profile_names_a_non_finite_row(tmp_path, row, column, value):
+@pytest.mark.parametrize("row, value", [(5, "nan"), (1, "-inf"), (257, "inf")])
+def test_load_profile_names_a_non_finite_row(tmp_path, row, value):
     grid = make_grid(257, 40.0)
     path = tmp_path / "profile.txt"
     save_profile(path, make_initial_profile(grid, make_params(1.0, 0.3), kind="kink"))
     lines = path.read_text().splitlines(keepends=True)
-    cells = lines[row].split()
-    cells[column] = value
-    lines[row] = " ".join(cells) + "\n"
+    lines[row] = value + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=f"data row {row},.* is not finite"):
         load_profile(path)
@@ -229,4 +230,10 @@ def test_load_profile_names_a_bad_header_token(tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("# nu=1 h=0 n=17 L\n")
     with pytest.raises(ValueError, match="token 'L' is not key=value"):
+        load_profile(path)
+    # a key outside nu, h, n, L is refused, so a misspelt H cannot pass as h
+    save_profile(path, make_initial_profile(make_grid(17, 10.0), make_params(1.0, 0.3)))
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{header} H=0.9 nu_=3\n{rest}")
+    with pytest.raises(ValueError, match="unknown key 'H'"):
         load_profile(path)
