@@ -1,17 +1,16 @@
 """Command-line interface: solve, verify, path, sweep, oracle.
 
-Configuration precedence is flags over config-file keys over built-in
-defaults; the config file is flat `key = value` text. FLAGS gives each
-key's type and default and COMMANDS the keys each command reads; a flag or
-config key a command does not read is a usage error. Each command only
-reads its inputs and writes or prints what the library returns; verify
-and oracle take every gate from analysis. This module is the one home of
-the output formats: each JSON or CSV file is written from its result
-dataclass's own fields, read shallowly, and atomically (temp file +
-rename). Exit codes: 0 ok, 1 usage or config error, 2 not converged, 3
-verification failure, 4 certificate contradiction. main also sets glibc's
-heap thresholds once per process (_retain_heap), so a solve's arrays are
-not faulted in anew at every evaluation.
+Every value comes from a flag or its default. FLAGS gives each key's type
+and default and COMMANDS the keys each command reads; a flag a command
+does not read is a usage error. Each command only reads its inputs and
+writes or prints what the library returns; verify and oracle take every
+gate from analysis. This module is the one home of the output formats:
+each JSON or CSV file is written from its result dataclass's own fields,
+read shallowly, and atomically (temp file + rename). Exit codes: 0 ok,
+1 usage error, 2 not converged, 3 verification failure, 4 certificate
+contradiction. main also sets glibc's heap thresholds once per process
+(_retain_heap), so a solve's arrays are not faulted in anew at every
+evaluation.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .model import (
 INIT_KINDS = ("template", "kink", "perturbed")
 
 # key: (type, default, allowed values or None); the flag --half-width sets
-# the key half_width, and a config file names keys
+# the key half_width
 FLAGS = {
     "nu": (float, 1.0, None),
     "h": (float, 0.0, None),
@@ -53,9 +52,9 @@ FLAGS = {
     "out_dir": (str, ".", None),
 }
 
-# the keys each command reads; it takes no other flag or config key. verify
-# draws nothing from seed: the key stays accepted while perfbench's certify
-# workload passes --seed to verify (ROADMAP item 6)
+# the keys each command reads; it takes no other flag. verify draws nothing
+# from seed: the flag stays accepted while perfbench's certify workload
+# passes --seed to verify (ROADMAP item 6)
 COMMANDS = {
     "solve": tuple(FLAGS),
     "verify": ("seed", "out_dir"),
@@ -83,34 +82,6 @@ def _write_csv_atomic(path: str, header, rows) -> None:
     """One line per row, floats as .12g and booleans as true/false."""
     lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _read_config(path: str, command: str) -> dict:
-    """The keys of a flat `key = value` file, each converted with its flag's
-    type. A key `command` does not read, a key set twice, or a bad value,
-    names file:line."""
-    cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ValueError(f"{where}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in COMMANDS[command]:
-                raise ValueError(f"{where}: unknown key {key!r} for {command}")
-            if key in cfg:
-                raise ValueError(f"{where}: {key} is set twice")
-            kind, _, choices = FLAGS[key]
-            try:
-                cfg[key] = kind(value)
-            except ValueError:
-                raise ValueError(f"{where}: invalid {key} value {value!r}") from None
-            if choices and value not in choices:
-                raise ValueError(f"{where}: {key} must be one of {', '.join(choices)}")
-    return cfg
 
 
 def _options(args: argparse.Namespace) -> solver.SolveOptions:
@@ -214,14 +185,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
-    """The subparser of `name`: --config and the flags of the keys it reads.
-    A flag left out sets no attribute, so main can put the config value or
-    the default in its place; flags are matched in full, never by prefix."""
-    sp = sub.add_parser(name, help=summary, allow_abbrev=False, argument_default=argparse.SUPPRESS)
-    sp.add_argument("--config", default=None, help="flat key = value config file")
+    """The subparser of `name`: a flag for each key it reads, with its FLAGS
+    default. Flags are matched in full, never by prefix."""
+    sp = sub.add_parser(name, help=summary, allow_abbrev=False)
     for key in COMMANDS[name]:
-        kind, _, choices = FLAGS[key]
-        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices)
+        kind, default, choices = FLAGS[key]
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=default, choices=choices)
     return sp
 
 
@@ -283,15 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        # flags over config keys over defaults, for the keys the command reads
-        values = {key: FLAGS[key][1] for key in COMMANDS[args.command]}
-        if args.config:
-            values.update(_read_config(args.config, args.command))
-        values.update(vars(args))
-        if values.get("seed", 0) < 0:  # whether or not this run draws from it
-            raise ValueError(f"seed must be non-negative (got {values['seed']})")
+        if getattr(args, "seed", 0) < 0:  # whether or not this run draws from it
+            raise ValueError(f"seed must be non-negative (got {args.seed})")
         # read from the module at call time, so a rebound cmd_* is the one run
-        return globals()["cmd_" + args.command](argparse.Namespace(**values))
+        return globals()["cmd_" + args.command](args)
     except (NeelWallError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

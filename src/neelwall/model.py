@@ -135,7 +135,8 @@ def _kink(x: np.ndarray, params: ModelParams, width: float) -> np.ndarray:
     if width <= 0:
         raise ValueError("kink width must be positive")
     th = params.theta_h
-    return th + (math.pi - 2.0 * th) * (2.0 / math.pi) * np.arctan(np.exp(-x / width))
+    # arctan(e^709) already rounds to pi/2; past it exp would overflow
+    return th + (math.pi - 2.0 * th) * (2.0 / math.pi) * np.arctan(np.exp(np.minimum(-x / width, 709.0)))
 
 
 def make_initial_profile(
@@ -267,9 +268,10 @@ def load_profile(path) -> WallProfile:
         h = float(fields["h"])
         n = int(fields["n"])
         half_width = float(fields["L"])
-        theta = np.loadtxt(fh, ndmin=1)
-    if theta.shape != (n,):
-        raise ValueError(f"expected {n} lines of one theta each, got shape {theta.shape}")
+        rows = np.loadtxt(fh, ndmin=2)
+    if rows.shape != (n, 1):
+        raise ValueError(f"expected {n} lines of one theta each, got shape {rows.shape}")
+    theta = rows[:, 0]
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(f"{path}: data row {bad[0] + 1}, theta = {theta[bad[0]]}, is not finite")

@@ -25,6 +25,7 @@ from neelwall import (
     verify,
 )
 import neelwall.cli as cli
+import neelwall.path as pathmod
 import neelwall.solver as solver
 from neelwall.cli import main
 from neelwall.energy import GRAD_TOL
@@ -386,6 +387,22 @@ def test_path_distinct_minimizers_coincide(solved_dir, tmp_path):
     assert cert["verdict"] == "COINCIDE"
 
 
+def test_path_exits_4_on_the_contradiction_a_planted_fault_produces(tmp_path, monkeypatch, capsys):
+    # convexity makes CONTRADICTION unreachable for correct code; a gradient
+    # shrunk 1e-6 times passes a solution and a width-1 kink as two
+    # solutions whose radii cannot span their distance
+    assert run(["solve", "--nu", "1", "--h", "0", "--out-dir", str(tmp_path / "a")] + SOLUTION) == 0
+    kink = make_initial_profile(make_grid(257, 20.0), make_params(1.0, 0.0), kind="kink")
+    save_profile(tmp_path / "kink.txt", kink)
+    argv = ["path", str(tmp_path / "a" / "profile.txt"), str(tmp_path / "kink.txt"), "--out-dir", str(tmp_path)]
+    true_gradient = pathmod.gradient
+    monkeypatch.setattr(pathmod, "gradient", lambda *args: 1e-6 * true_gradient(*args))
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert capsys.readouterr().out.startswith("certificate: CONTRADICTION ")
+    assert json.loads((tmp_path / "certificate.json").read_text())["verdict"] == "CONTRADICTION"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_solve_with_a_grad_tol_that_is_not_positive_and_finite_exits_1(tol, tmp_path, capsys):
     # the options are checked before the output directory is made
@@ -489,14 +506,21 @@ def test_oracle_fails_the_lorentzian_at_n_1025(capsys):
         ["oracle", "--seed", "0"],
         # every sweep row starts from the template
         ["sweep", "--init", "kink"],
+        # every value is a flag: there is no config file
+        ["solve", "--config", "run.cfg"],
+        ["verify", "profile.txt", "--config", "run.cfg"],
+        ["path", "a.txt", "b.txt", "--config", "run.cfg"],
+        ["sweep", "--config", "run.cfg"],
+        ["oracle", "--config", "run.cfg"],
     ],
 )
 def test_flag_the_command_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # a prefix of a flag the command does read (--nu of --nu-list) is not taken for it
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("nu = 1\n")
     assert run(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_oracle_grid_too_small(capsys):
@@ -505,82 +529,16 @@ def test_oracle_grid_too_small(capsys):
     assert capsys.readouterr().out.endswith("oracle: FAIL\n")
 
 
-def test_config_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 257\nhalf_width = 20  # trailing comment\nnu = 2.0\ngrad_tol = 1e-5\n")
-    out = tmp_path / "out"
-    code = run(["solve", "--config", str(cfg), "--nu", "1", "--h", "0.3", "--out-dir", str(out)])
-    assert code == 0
-    prof = (out / "profile.txt").read_text()
-    # flag overrides the config nu; config n shapes the output
-    assert len([ln for ln in prof.splitlines() if not ln.startswith("#")]) == 257
-
-
-def test_config_unknown_key(solved_dir, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    for text in ("bogus = 1\n", "method = quasi_newton\n"):
-        cfg.write_text(text)
-        assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
-    # a key of another command: verify reads nu from the profile header
-    cfg.write_text("nu = 2\n")
-    assert run(["verify", str(solved_dir / "profile.txt"), "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
-    # path tests both profiles at energy.GRAD_TOL and reads no grad_tol
-    cfg.write_text("grad_tol = 1e-5\n")
-    prof = str(solved_dir / "profile.txt")
-    assert run(["path", prof, prof, "--config", str(cfg), "--out-dir", str(tmp_path / "p")]) == 1
-    assert not (tmp_path / "p").exists()
-    # every sweep row starts from the template, so sweep reads no init
-    cfg.write_text("init = template\n")
-    capsys.readouterr()
-    assert run(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 1
-    assert "unknown key 'init' for sweep" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
-
-
-def test_oracle_config_seed_key_is_unknown(tmp_path, capsys):
-    # the oracle checks every interior node of a fixed corpus: it reads no seed
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("seed = 0\n")
-    assert run(["oracle", "--n", "257", "--config", str(cfg)]) == 1
-    assert "seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command, text", [(["solve"], "max_iter = 1e5"), (["sweep"], "n = 2.5"), (["solve"], "nu = 1\nnu = 2")]
-)
-def test_config_bad_value_names_file_and_line(command, text, tmp_path, capsys):
-    # the error names the text's last line: a key set twice is refused at
-    # its second line, not resolved to either value
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"# a comment\n{text}\n")
-    line = 2 + text.count("\n")
-    assert run(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    assert f"{cfg}:{line}:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_config_sets_the_keys_of_verify(solved_dir, tmp_path):
-    cfg = tmp_path / "verify.cfg"
-    cfg.write_text(f"seed = 3\nout_dir = {tmp_path / 'out'}\n")
-    prof = solved_dir / "profile.txt"
-    assert run(["verify", str(prof), "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert report["checks"] == verify(load_profile(prof))["checks"]
-
-
-def test_readme_lists_each_commands_flags_and_config_keys():
+def test_readme_lists_each_commands_flags():
     # the README's table is the documented flag set; it must be the parser's
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = [ln.strip().strip("|").split("|") for ln in text.splitlines() if ln.startswith("| `")]
-    documented = {
-        cells[0].strip().strip("`"): (set(re.findall(r"`(--[a-z-]+)`", cells[1])), re.findall(r"`([a-z_]+)`", cells[2]))
-        for cells in rows
-    }
+    documented = {cells[0].strip().strip("`"): set(re.findall(r"`(--[a-z-]+)`", cells[1])) for cells in rows}
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(documented) == set(sub.choices)
     for name, sp in sub.choices.items():
         flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
-        assert documented[name] == (flags, list(cli.COMMANDS[name])), name
+        assert documented[name] == flags, name
 
 
 def test_readme_lists_the_keys_of_the_solve_report(solved_dir):
@@ -614,16 +572,10 @@ SEED_READERS = {
 }
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("case", list(SEED_READERS))
-def test_a_negative_seed_exits_1_naming_seed(case, source, start_profiles, tmp_path, capsys):
+@pytest.mark.parametrize("case", [pytest.param(case, id=f"{case}-flag") for case in SEED_READERS])
+def test_a_negative_seed_exits_1_naming_seed(case, start_profiles, tmp_path, capsys):
     argv = [str(start_profiles / a) if a.endswith(".txt") else a for a in SEED_READERS[case]]
-    argv += ["--out-dir", str(tmp_path / "out")]
-    if source == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        (tmp_path / "seed.cfg").write_text("seed = -1\n")
-        argv += ["--config", str(tmp_path / "seed.cfg")]
+    argv += ["--out-dir", str(tmp_path / "out"), "--seed", "-1"]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be non-negative") and "Traceback" not in err
@@ -641,17 +593,11 @@ def _header(out):
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
-    # flags and config values of one call must not reach the next
+    # the flags of one call must not reach the next
     assert run(["solve", "--nu", "2", "--out-dir", str(tmp_path / "a")] + FAST) == 0
     assert run(["solve", "--out-dir", str(tmp_path / "b")] + FAST) == 0
     assert _header(tmp_path / "a").startswith("# nu=2 ")
     assert _header(tmp_path / "b").startswith("# nu=1 ")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("h = 0.3\n")
-    assert run(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "c")] + FAST) == 0
-    assert run(["solve", "--out-dir", str(tmp_path / "d")] + FAST) == 0
-    assert " h=0.29999999999999999 " in _header(tmp_path / "c")
-    assert " h=0 " in _header(tmp_path / "d")
     assert run(["solve", "--nu", "abc"]) == 1
     assert run(["solve", "--help"]) == 0
     assert run(["bogus"]) == 1

@@ -53,12 +53,13 @@ def test_grid_construction():
 @pytest.mark.parametrize("kind", ["template", "kink", "perturbed"])
 def test_initial_profiles_admissible(kind):
     params = make_params(1.0, 0.3)
-    grid = make_grid(257, 40.0)
-    p = make_initial_profile(grid, params, kind=kind)
-    assert p.theta[0] == pytest.approx(math.pi - params.theta_h)
-    assert p.theta[-1] == pytest.approx(params.theta_h)
-    z = p.theta - math.pi / 2
-    assert np.sum(np.sign(z[:-1]) != np.sign(z[1:])) >= 1
+    # at L = 800 the kink's e^{-x} would overflow at the left end
+    for half_width in (40.0, 800.0):
+        p = make_initial_profile(make_grid(257, half_width), params, kind=kind)
+        assert p.theta[0] == pytest.approx(math.pi - params.theta_h)
+        assert p.theta[-1] == pytest.approx(params.theta_h)
+        z = p.theta - math.pi / 2
+        assert np.sum(np.sign(z[:-1]) != np.sign(z[1:])) >= 1
 
 
 def test_perturbed_profile_seeded():
@@ -187,13 +188,17 @@ def test_save_profile_is_atomic(tmp_path, monkeypatch):
 
 def test_load_profile_rejects_foreign_x_column(tmp_path):
     # the grid is the header's n and L alone: a file that lists x next to
-    # theta on every line fails the shape check
+    # theta on every line fails the shape check, and so does one that puts
+    # every theta on one line
     grid = make_grid(257, 40.0)
     p = make_initial_profile(grid, make_params(1.0, 0.3), kind="kink")
     path = tmp_path / "profile.txt"
     rows = "".join(f"{x:.17g} {theta:.17g}\n" for x, theta in zip(grid.nodes, p.theta))
     path.write_text(f"# nu=1 h=0.3 n=257 L=40\n{rows}")
     with pytest.raises(ValueError, match=r"257 lines of one theta each, got shape \(257, 2\)"):
+        load_profile(path)
+    path.write_text("# nu=1 h=0.3 n=257 L=40\n" + " ".join(f"{theta:.17g}" for theta in p.theta) + "\n")
+    with pytest.raises(ValueError, match=r"257 lines of one theta each, got shape \(1, 257\)"):
         load_profile(path)
 
 
