@@ -19,7 +19,6 @@ import argparse
 import ctypes
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -50,16 +49,18 @@ FLAGS = {
     "init": (str, "template", INIT_KINDS),
     "seed": (int, 0, None),
     "out_dir": (str, ".", None),
+    "nu_list": (str, "0.5,1,2,4", None),
+    "h_list": (str, "0,0.25,0.5,0.75", None),
 }
 
 # the keys each command reads; it takes no other flag. verify draws nothing
 # from seed: the flag stays accepted while perfbench's certify workload
 # passes --seed to verify (ROADMAP item 6)
 COMMANDS = {
-    "solve": tuple(FLAGS),
+    "solve": ("nu", "h", "n", "half_width", "grad_tol", "max_iter", "init", "seed", "out_dir"),
     "verify": ("seed", "out_dir"),
     "path": ("out_dir",),
-    "sweep": ("n", "half_width", "grad_tol", "max_iter", "out_dir"),
+    "sweep": ("n", "half_width", "grad_tol", "max_iter", "out_dir", "nu_list", "h_list"),
     "oracle": ("n", "half_width"),
 }
 
@@ -156,19 +157,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     rows = solver.sweep(params_list, grid, opts)
-    parts = [f.name for f in fields(EnergyBreakdown)]
-    raised = dict.fromkeys(parts, math.nan)  # the energy of a row whose solve raised
     table = (
-        (r.nu, r.h, *(vars(r.energy) if r.energy else raised).values(), r.decay_c, r.max_grad, r.converged)
+        (
+            r.params.nu,
+            r.params.h,
+            *vars(r.report.final_energy).values(),
+            r.decay_c,
+            r.report.final_grad_norm,
+            r.report.converged,
+        )
         for r in rows
     )
-    header = ["nu", "h", *parts, "decay_c", "max_grad", "converged"]
+    header = ["nu", "h", *(f.name for f in fields(EnergyBreakdown)), "decay_c", "max_grad", "converged"]
     _write_csv_atomic(os.path.join(out, "sweep.csv"), header, table)
     for r in rows:
-        status = "ok" if r.converged else (r.error or "not converged")
-        total = r.energy.total if r.energy else math.nan
-        print(f"nu={r.nu} h={r.h}: E={total:.8g} [{status}]")
-    return EXIT_OK if all(r.converged for r in rows) else EXIT_NOT_CONVERGED
+        status = "ok" if r.report.converged else "not converged"
+        print(f"nu={r.params.nu} h={r.params.h}: E={r.report.final_energy.total:.8g} [{status}]")
+    return EXIT_OK if all(r.report.converged for r in rows) else EXIT_NOT_CONVERGED
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -209,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _add_command(sub, "path", "convexity certificate between two profiles")
     sp.add_argument("profile_a")
     sp.add_argument("profile_b")
-    sp = _add_command(sub, "sweep", "solve over a grid of (nu, h) values")
-    sp.add_argument("--nu-list", default="0.5,1,2,4")
-    sp.add_argument("--h-list", default="0,0.25,0.5,0.75")
+    _add_command(sub, "sweep", "solve over a grid of (nu, h) values")
     _add_command(sub, "oracle", "operator and seminorm cross-validation suite")
     return parser
 

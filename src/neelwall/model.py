@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,7 +269,11 @@ def load_profile(path) -> WallProfile:
         h = float(fields["h"])
         n = int(fields["n"])
         half_width = float(fields["L"])
-        rows = np.loadtxt(fh, ndmin=2)
+        # the shape check below refuses a body with no data, which numpy
+        # would also warn about
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, ndmin=2)
     if rows.shape != (n, 1):
         raise ValueError(f"expected {n} lines of one theta each, got shape {rows.shape}")
     theta = rows[:, 0]

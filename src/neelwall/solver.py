@@ -283,13 +283,13 @@ def minimize(
 
 @dataclass(frozen=True)
 class SweepRow:
-    nu: float
-    h: float
-    energy: EnergyBreakdown | None
+    """One sweep entry: its parameters, the report of its template solve
+    and the fitted far-field constant c_plus (nan at nu = 0, or when the
+    tail window is too noisy to fit)."""
+
+    params: ModelParams
+    report: SolveReport
     decay_c: float
-    max_grad: float
-    converged: bool
-    error: str = ""
 
 
 def sweep(
@@ -299,42 +299,19 @@ def sweep(
 ) -> list[SweepRow]:
     """Run one independent minimize + analysis pass per (nu, h) entry.
 
-    Each row starts from the template; failures are captured per row and
-    the sweep continues. Rows are returned in input order.
+    Each row starts from the template; an exception from a row's solve
+    propagates. Rows are returned in input order.
     """
     opts = opts or SolveOptions()
     op = make_operator(grid)
     rows: list[SweepRow] = []
     for params in params_list:
-        try:
-            p0 = make_initial_profile(grid, params)
-            p, report = minimize(p0, opts, op=op)
-            decay_c = math.nan
-            if params.nu > 0:
-                try:
-                    decay_c = analysis.fit_decay(p).c_plus
-                except WindowTooNoisyError:
-                    decay_c = math.nan
-            rows.append(
-                SweepRow(
-                    nu=params.nu,
-                    h=params.h,
-                    energy=report.final_energy,
-                    decay_c=decay_c,
-                    max_grad=report.final_grad_norm,
-                    converged=report.converged,
-                )
-            )
-        except Exception as exc:  # error isolation per row
-            rows.append(
-                SweepRow(
-                    nu=params.nu,
-                    h=params.h,
-                    energy=None,
-                    decay_c=math.nan,
-                    max_grad=math.nan,
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        p, report = minimize(make_initial_profile(grid, params), opts, op=op)
+        decay_c = math.nan
+        if params.nu > 0:
+            try:
+                decay_c = analysis.fit_decay(p).c_plus
+            except WindowTooNoisyError:
+                pass
+        rows.append(SweepRow(params=params, report=report, decay_c=decay_c))
     return rows

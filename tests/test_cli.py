@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from neelwall import (
+    NoCrossingError,
     far_field_constant,
     fit_decay,
     load_profile,
@@ -298,6 +300,18 @@ def test_a_profile_listing_x_next_to_theta_exits_1(solved_dir, tmp_path, capsys)
     assert capsys.readouterr().err.count("lines of one theta each") == 2
 
 
+@pytest.mark.parametrize("body", ["", "\n\n", "# no theta\n"], ids=["nothing", "blank", "comment"])
+def test_a_profile_with_a_header_and_no_data_exits_1(body, tmp_path, capsys):
+    # refused by the shape check alone: numpy's no-data warning does not
+    # escape main even when warnings are errors
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nu=1 h=0 n=17 L=10\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", str(empty), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: expected 17 lines of one theta each, got shape (0, ")
+
+
 def test_verify_json_far_field_is_the_law_and_the_fit(solved_dir, tmp_path):
     # the JSON round trip keeps both constants to the bit
     assert run(["verify", str(solved_dir / "profile.txt"), "--out-dir", str(tmp_path)]) == 0
@@ -458,22 +472,29 @@ def test_sweep_csv(tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == first
 
 
-def test_sweep_csv_prints_a_failed_row_as_nan(tmp_path, monkeypatch):
+def test_sweep_fails_like_solve(tmp_path, monkeypatch, capsys):
+    # a row's solve has no private error path: its exception reaches main
     minimize = solver.minimize
+    error = NoCrossingError("injected")
 
     def fail_one(p0, *args, **kwargs):
         if (p0.params.nu, p0.params.h) == (1.0, 0.5):
-            raise RuntimeError("injected")
+            raise error
         return minimize(p0, *args, **kwargs)
 
     monkeypatch.setattr(solver, "minimize", fail_one)
-    argv = ["sweep", "--nu-list", "1", "--h-list", "0,0.5", "--out-dir", str(tmp_path)] + FAST
-    assert run(argv) == 2
-    ok, failed = (line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:])
-    assert ok[-1] == "true" and "nan" not in ok[2:6]
-    assert failed[:2] == ["1", "0.5"]
-    assert failed[2:6] == ["nan"] * 4
-    assert failed[-1] == "false"
+    sweep = ["sweep", "--nu-list", "1", "--h-list", "0,0.5", "--out-dir", str(tmp_path)] + FAST
+    assert run(sweep) == 1
+    assert capsys.readouterr() == ("", "error: injected\n")
+    assert not (tmp_path / "sweep.csv").exists()
+    # a warning raised as an error (overflow under -W error), which fail_one
+    # now raises, propagates out of main from sweep and from solve alike
+    error = RuntimeWarning("overflow encountered in multiply")
+    solve = ["solve", "--nu", "1", "--h", "0.5", "--out-dir", str(tmp_path)] + FAST
+    for argv in (sweep, solve):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run(argv)
+    assert [f.name for f in tmp_path.iterdir()] == []
 
 
 @pytest.mark.parametrize("n, half_width", [("2049", "40"), ("4097", "80")])

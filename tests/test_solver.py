@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import neelwall.solver as solver
 from neelwall import (
     NoCrossingError,
     energy_and_gradient,
+    fit_decay,
     grad_norm,
     make_grid,
     make_initial_profile,
@@ -16,7 +18,7 @@ from neelwall import (
     uniqueness_certificate,
 )
 from neelwall.model import ModelParams, WallProfile
-from neelwall.solver import SolveOptions, _block_scale, sweep
+from neelwall.solver import SolveOptions, SweepRow, _block_scale, sweep
 
 
 def test_options_validation():
@@ -55,16 +57,30 @@ def test_minimize_requires_crossing():
         minimize(p0)
 
 
-def test_sweep_rows_and_error_isolation():
+@pytest.mark.parametrize("nu,h", [(0.0, 0.0), (1.0, 0.5)])
+def test_a_sweep_row_is_its_solve(nu, h):
+    grid = make_grid(257, 20.0)
+    params = make_params(nu, h)
+    opts = SolveOptions()
+    (row,) = sweep([params], grid, opts)
+    assert [f.name for f in fields(SweepRow)] == ["params", "report", "decay_c"]
+    p, report = minimize(make_initial_profile(grid, params), opts)
+    assert row.params == params
+    assert row.report == report
+    if nu == 0.0:
+        assert math.isnan(row.decay_c)
+    else:
+        assert row.decay_c == fit_decay(p).c_plus
+
+
+def test_sweep_propagates_a_rows_exception():
     grid = make_grid(257, 40.0)
     good = make_params(1.0, 0.0)
     # inexpressible through make_params; a raw record models a corrupted
-    # input row
+    # input row, whose template never crosses pi/2
     bad = ModelParams(nu=1.0, h=math.nan, theta_h=math.nan)
-    rows = sweep([good, bad], grid, SolveOptions(grad_tol=1e-5))
-    assert len(rows) == 2
-    assert rows[0].converged and rows[0].error == ""
-    assert not rows[1].converged and rows[1].error != ""
+    with pytest.raises(NoCrossingError):
+        sweep([good, bad], grid, SolveOptions(grad_tol=1e-5))
 
 
 def test_sweep_empty():
@@ -76,7 +92,7 @@ def test_sweep_energies_decrease_in_h():
     grid = make_grid(513, 40.0)
     params = [make_params(1.0, h) for h in (0.0, 0.25, 0.5)]
     rows = sweep(params, grid, SolveOptions(grad_tol=1e-5))
-    totals = [r.energy.total for r in rows]
+    totals = [r.report.final_energy.total for r in rows]
     assert totals[0] > totals[1] > totals[2]
 
 
