@@ -8,7 +8,8 @@ The grid is n in {257, 1025, 4097, 16385} x nu in {0, 0.5, 1, 4, 10} x h in
 same n, nu and h with the kink start at L = 800, 80 solves, whose e^{-x/width}
 passes exp's overflow at the left end; each of the 320 at grad_tol 1e-6,
 1e-9 and 1e-10. Prints the converged count, iterations and evaluations per
-tolerance and exits 1 if any of the 960 solves fails.
+tolerance, with the evaluations of each --init kind, and exits 1 if any of
+the 960 solves fails.
 """
 
 from __future__ import annotations
@@ -47,18 +48,20 @@ def main() -> int:
     failed = 0
     for grad_tol in GRAD_TOLS:
         start = time.perf_counter()
-        solves = converged = iterations = evaluations = 0
+        solves = converged = iterations = 0
+        evaluations = dict.fromkeys(INITS, 0)
         for case, report in solve_grid(grad_tol):
             solves += 1
             converged += report.converged
             iterations += report.iterations
-            evaluations += report.evaluations
+            evaluations[case[-1]] += report.evaluations
             if not report.converged:
                 print(f"  not converged: n, L, nu, h, init = {case}, stop {report.stop}, "
                       f"sup|g|/dx {report.final_grad_norm:.3g}")
         failed += solves - converged
+        per_init = ", ".join(f"{init} {count}" for init, count in evaluations.items())
         print(f"grad_tol {grad_tol:g}: {converged}/{solves} converged, {iterations} iterations, "
-              f"{evaluations} evaluations, {time.perf_counter() - start:.1f} s")
+              f"{sum(evaluations.values())} evaluations ({per_init}), {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 

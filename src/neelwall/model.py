@@ -124,12 +124,22 @@ def trapezoid_weights(n: int, dx: float) -> np.ndarray:
 
 
 def _template(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Smooth monotone ramp matching the constants of eta-type comparison
-    profiles: pi - theta_h for x < -1, theta_h for x > 1, pi/2 at 0."""
-    th = params.theta_h
-    ramp = np.clip(x, -1.0, 1.0)
-    frac = 0.5 * (1.0 - np.sin(0.5 * math.pi * ramp))
-    return th + (math.pi - 2.0 * th) * frac
+    """The nu = 0 wall, sin(theta) - h = (1 - h^2)/(cosh(a x) + h) with
+    a = cos(theta_h), on the branch pi - arcsin for x < 0.
+
+    In e = exp(-a|x|), which cannot overflow, sin(theta) = h + 2 (1 - h^2)
+    e/D and cos(theta) = sign(x) (1 - e) sqrt((1 - h)(1 + sin(theta))/D)
+    with D = 1 + 2 h e + e^2. theta is arctan2 of the two, so theta(0) =
+    pi/2 exactly and no node near the centre loses digits to arcsin's slope
+    at 1.
+    """
+    h, th = params.h, params.theta_h
+    e = np.exp(-math.cos(th) * np.abs(x))
+    denom = 1.0 + e * (2.0 * h + e)
+    sin = h + 2.0 * (1.0 - h * h) * e / denom
+    cos = np.sign(x) * (1.0 - e) * np.sqrt((1.0 - h) * (1.0 + sin) / denom)
+    # arctan2 of the vacuum's (h, cos(theta_h)) may round an ulp past theta_h
+    return np.clip(np.arctan2(sin, cos), th, math.pi - th)
 
 
 def _kink(x: np.ndarray, params: ModelParams, width: float) -> np.ndarray:
@@ -150,7 +160,7 @@ def make_initial_profile(
     """Build an admissible starting profile.
 
     kind:
-      * ``template``  -- smooth monotone ramp, constant outside [-1, 1].
+      * ``template``  -- the nu = 0 wall, the exact minimizer at nu = 0.
       * ``kink``      -- arctan profile of the given width.
       * ``perturbed`` -- kink plus an even bump of radius BUMP_RADIUS and
         size BUMP_AMPLITUDE with seeded random cosine coefficients, clamped

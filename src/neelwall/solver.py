@@ -29,7 +29,8 @@ condition or, where rounding hides the decrease, an approximate Wolfe step
 ROUNDOFF |E|. A solve is one L-BFGS run. Short of the tolerance, it ends
 after PATIENCE consecutive accepted steps that lower neither E nor the
 run's best sup|gradient|, or when the line search finds no step. The result
-keeps theta(0) = pi/2 and the input's end values exactly.
+keeps theta(0) = pi/2 and the input's end values exactly, and lies between
+those end values.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ def _block_scale(m: int, dx: float, params: ModelParams) -> np.ndarray:
     j = np.arange(1, m + 1)
     k = j * math.pi / ((m + 1) * dx)
     k2 = (2.0 - 2.0 * np.cos(j * math.pi / (m + 1))) / dx**2
-    return (dx * linearized_symbol(params, k, k2)) ** -0.5
+    with np.errstate(over="ignore"):
+        symbol = linearized_symbol(params, k, k2)
+    if not np.isfinite(symbol).all():
+        raise ValueError(f"nu = {params.nu:g} overflows the solver's preconditioner at dx = {dx:g}")
+    return (dx * symbol) ** -0.5
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,11 @@ def minimize(
     run at the first evaluation that meets the full sup|g|/dx <= grad_tol,
     center node included, and that point is the result. The report carries
     the gradient norm and energy breakdown the run reported at its result,
-    and the stop reason. Raises NoCrossingError / MultipleCrossingsError
-    (from recentring) if p0 does not cross pi/2 exactly once.
+    and the stop reason. The result is clipped to the span of the end
+    values, which moves only tail nodes that rounding carried past them.
+    Raises NoCrossingError / MultipleCrossingsError (from recentring) if p0
+    does not cross pi/2 exactly once, and ValueError if nu overflows the
+    preconditioner on p0's grid.
     """
     opts = opts or SolveOptions()
     op = op or make_operator(p0.grid)
@@ -262,6 +270,9 @@ def minimize(
 
     res = lbfgs(fg, np.zeros(2 * (c - 1)), opts.max_iter, lambda info: info[2] <= opts.grad_tol)
     theta, eb, gnorm = res.info
+    # rounding can carry tail nodes past the vacua (at nu = 0 the tail falls
+    # below eps beyond |x| ~ 35); keep them in the span of the Dirichlet data
+    theta = np.clip(theta, min(start[0], start[-1]), max(start[0], start[-1]))
     converged = gnorm <= opts.grad_tol
     if converged:
         stop = "grad_tol"

@@ -101,6 +101,15 @@ def test_solve_on_a_half_width_the_grid_cannot_space_exits_1(half_width, tmp_pat
     assert not (tmp_path / "profile.txt").exists()
 
 
+@pytest.mark.parametrize("command", [["solve", "--nu"], ["sweep", "--h-list", "0", "--nu-list"]])
+def test_a_nu_that_overflows_the_preconditioner_exits_1(command, tmp_path, capsys):
+    # (nu/2) |k| overflows at the grid's top wavenumber, pi/dx ~ 20
+    code = run([*command, "1e308", *SOLUTION, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: nu = 1e+308 overflows") and "Traceback" not in err
+    assert not (tmp_path / "profile.txt").exists() and not (tmp_path / "sweep.csv").exists()
+
+
 def test_report_verify_and_certificate_read_the_same_gradient_norm(tmp_path, capsys):
     grid = ["--n", "257", "--half-width", "20"]
     a, b = tmp_path / "a", tmp_path / "b"

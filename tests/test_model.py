@@ -9,10 +9,12 @@ from neelwall import (
     load_profile,
     make_grid,
     make_initial_profile,
+    make_operator,
     make_params,
     recenter,
     save_profile,
 )
+from neelwall.energy import energy_and_gradient, grad_norm
 from neelwall.model import _crossing_locations
 
 
@@ -60,6 +62,35 @@ def test_initial_profiles_admissible(kind):
         assert p.theta[-1] == pytest.approx(params.theta_h)
         z = p.theta - math.pi / 2
         assert np.sum(np.sign(z[:-1]) != np.sign(z[1:])) >= 1
+
+
+@pytest.mark.parametrize("h", [0.0, 0.5, 0.95])
+def test_template_is_the_nu_0_wall(h):
+    # sin(theta) - h = (1 - h^2)/(cosh(a x) + h), a = cos(theta_h), with
+    # a|x| clipped at 700 so that cosh stays finite at L = 800
+    params = make_params(0.0, h)
+    a = math.cos(params.theta_h)
+    for half_width in (40.0, 800.0):
+        grid = make_grid(1025, half_width)
+        p = make_initial_profile(grid, params)
+        u = (1.0 - h * h) / (np.cosh(np.minimum(a * np.abs(grid.nodes), 700.0)) + h)
+        # the end nodes hold the vacua, the Dirichlet data
+        assert np.max(np.abs(np.sin(p.theta) - h - u)[1:-1]) <= 1e-15
+        assert p.theta[grid.center_index] == math.pi / 2 and recenter(p) is p
+
+
+@pytest.mark.parametrize("h", [0.0, 0.5, 0.95])
+def test_template_residual_at_nu_0_is_the_truncation_error(h):
+    # the continuum wall sampled: sup|g|/dx falls 4x per halving of dx. L
+    # is wide enough that the jump to the vacuum at the ends does not show
+    params = make_params(0.0, h)
+    norms = []
+    for n in (2049, 4097, 8193):
+        grid = make_grid(n, 160.0)
+        g = energy_and_gradient(make_initial_profile(grid, params), make_operator(grid))[1]
+        norms.append(grad_norm(g, grid.spacing))
+    for coarse, fine in zip(norms, norms[1:]):
+        assert 3.9 <= coarse / fine <= 4.1
 
 
 def test_perturbed_profile_seeded():

@@ -167,6 +167,20 @@ def test_certificate_identical_inputs(pair, solved):
     assert uniqueness_certificate(kink, kink).verdict == "NOT_BOTH_SOLUTIONS"
 
 
+def test_certificate_takes_converged_nu_0_walls(operators):
+    # at nu = 0 the tail falls like e^{-|x|}, below rounding past |x| ~ 35,
+    # and unclipped solver nodes there rounded across theta = 0 and pi
+    grid, op = operators(1025, 40.0)
+    params = make_params(0.0, 0.0)
+    p, q = (
+        minimize(make_initial_profile(grid, params, kind=kind, seed=3), op=op)[0]
+        for kind in ("template", "perturbed")
+    )
+    for r in (p, q):
+        assert np.all((0.0 <= r.theta) & (r.theta <= math.pi))
+    assert uniqueness_certificate(p, q).verdict == "COINCIDE"
+
+
 def test_certificate_rejects_non_solution_pair(solved, operators):
     p, _ = solved(1.0, 0.3)
     grid, _ = operators()

@@ -123,13 +123,13 @@ def test_preconditioned_vacuum_hessian_is_near_identity(nu, h, lo, hi):
 @pytest.mark.parametrize("n", [1025, 2049, 4097, 8193])
 def test_iterations_do_not_grow_with_n(n):
     # the unpreconditioned solve took 220/450/909/1846 iterations here and
-    # stopped at grad 1.13e-6 at n = 8193
+    # stopped at grad 1.13e-6 at n = 8193; from the template, the nu = 0
+    # wall, the solve takes 7 evaluations at every n
     grid = make_grid(n, 40.0)
     p0 = make_initial_profile(grid, make_params(1.0, 0.25))
     _, report = minimize(p0)
     assert report.converged and report.final_grad_norm <= 1e-6
-    assert report.iterations < 50
-    assert report.evaluations >= report.iterations
+    assert report.iterations < report.evaluations <= 8
 
 
 def test_solve_evaluates_once_per_function_call(monkeypatch):
